@@ -17,12 +17,11 @@ the graph datasets the paper evaluates on:
   Table I.
 
 The older per-mechanism entry points (:mod:`~repro.graph.generators`
-functions, :func:`~repro.graph.datasets.get_dataset`,
-:mod:`~repro.graph.io` load/save, raw :func:`~repro.graph.builder.build_csr`)
-remain importable as deprecated wrappers around the same implementations.
+functions, :func:`~repro.graph.datasets.get_dataset`, :mod:`~repro.graph.io`
+load/save) remain importable as deprecated wrappers around the same
+implementations.
 """
 
-from repro.graph.builder import build_csr, from_edge_list
 from repro.graph.csr import CSRGraph, GraphError, MmapCSRGraph
 from repro.graph.datasets import DatasetSpec, get_dataset, list_datasets
 from repro.graph.generators import (
@@ -63,14 +62,12 @@ __all__ = [
     "MmapCSRGraph",
     "SkewProfile",
     "SkewReport",
-    "build_csr",
     "canonical_spec",
     "chung_lu_graph",
     "degree_statistics",
     "describe_spec",
     "edge_coverage",
     "fetch_dataset",
-    "from_edge_list",
     "get_dataset",
     "hot_vertex_mask",
     "ingest_graph",

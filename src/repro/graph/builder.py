@@ -1,18 +1,64 @@
 """Construction of :class:`~repro.graph.csr.CSRGraph` objects from edge lists.
 
-The public :func:`build_csr` / :func:`from_edge_list` entry points are
-deprecated in favour of :func:`repro.graph.load` (``"edges:..."`` specs go
-through the same code); internal callers use the private ``_build_csr``.
+Applications obtain graphs through :func:`repro.graph.load`; the generators,
+file loaders and transformations inside :mod:`repro.graph` build them with
+the private ``_build_csr``.
+
+Every CSR array in the package follows one ordering rule, implemented once by
+:func:`_sort_edges`: each neighbour list is sorted by (vertex, neighbour), and
+parallel edges keep their input order, so their weights do too.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE, CSRGraph, GraphError
+
+#: Largest vertex count whose ``(vertex, neighbour)`` keys fit in an int64.
+MAX_KEYED_VERTICES = 3_037_000_499
+
+
+def _sort_edges(
+    num_vertices: int,
+    group: np.ndarray,
+    other: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    unique: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Return ``(group, other, weights)`` ordered by ``(group, other)``.
+
+    Both endpoint arrays hold IDs in ``[0, num_vertices)``, so the int64 key
+    ``group * num_vertices + other`` sorts in exactly that order.  Equal keys
+    keep their input order.  ``unique=True`` keeps only the first edge of
+    every ``(group, other)`` pair.
+    """
+    if num_vertices > MAX_KEYED_VERTICES:
+        raise GraphError(
+            f"{num_vertices} vertices exceed the {MAX_KEYED_VERTICES} whose edge keys fit in int64"
+        )
+    keys = group * np.int64(num_vertices) + other
+    if weights is None:
+        # Equal keys are the same edge, so no tie order needs keeping and the
+        # endpoints can be recovered from the sorted keys.
+        keys.sort()
+        if unique:
+            keys = keys[_run_starts(keys)]
+        sorted_group, sorted_other = np.divmod(keys, num_vertices)
+        return sorted_group, sorted_other, None
+    order = np.argsort(keys, kind="stable")
+    if unique:
+        order = order[_run_starts(keys[order])]
+    return group[order], other[order], weights[order]
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values."""
+    starts = np.ones(sorted_keys.shape[0], dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
 
 
 def _csr_from_pairs(
@@ -24,11 +70,7 @@ def _csr_from_pairs(
     """Group edges by ``group_by`` and return (index, adjacency, weights)."""
     counts = np.bincount(group_by, minlength=num_vertices).astype(INDEX_DTYPE)
     index = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
-    # Stable lexicographic order: primary key = grouping vertex, secondary key
-    # = the opposite endpoint, so neighbour lists come out sorted.
-    order = np.lexsort((other, group_by))
-    adjacency = other[order].astype(VERTEX_DTYPE)
-    ordered_weights = weights[order].astype(WEIGHT_DTYPE) if weights is not None else None
+    _, adjacency, ordered_weights = _sort_edges(num_vertices, group_by, other, weights)
     return index, adjacency, ordered_weights
 
 
@@ -81,12 +123,9 @@ def _build_csr(
             weights = weights[keep]
 
     if deduplicate and sources.size:
-        keys = sources * np.int64(num_vertices) + targets
-        _, unique_idx = np.unique(keys, return_index=True)
-        unique_idx.sort()
-        sources, targets = sources[unique_idx], targets[unique_idx]
-        if weights is not None:
-            weights = weights[unique_idx]
+        sources, targets, weights = _sort_edges(
+            num_vertices, sources, targets, weights, unique=True
+        )
 
     out_index, out_targets, out_weights = _csr_from_pairs(num_vertices, sources, targets, weights)
     in_index, in_sources, in_weights = _csr_from_pairs(num_vertices, targets, sources, weights)
@@ -120,54 +159,3 @@ def _from_edge_list(
         num_vertices = int(edge_array.max()) + 1 if edge_array.size else 0
     weight_array = None if weights is None else np.asarray(weights, dtype=WEIGHT_DTYPE)
     return _build_csr(num_vertices, sources, targets, weights=weight_array, name=name, **kwargs)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def build_csr(
-    num_vertices: int,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-    remove_self_loops: bool = False,
-    deduplicate: bool = False,
-    name: str = "graph",
-) -> CSRGraph:
-    """Build a :class:`CSRGraph` from parallel source/target arrays.
-
-    .. deprecated:: use :func:`repro.graph.load` (or keep raw arrays out of
-       application code entirely); this wrapper forwards to the same builder.
-    """
-    _deprecated("repro.graph.builder.build_csr", "repro.graph.load")
-    return _build_csr(
-        num_vertices,
-        sources,
-        targets,
-        weights=weights,
-        remove_self_loops=remove_self_loops,
-        deduplicate=deduplicate,
-        name=name,
-    )
-
-
-def from_edge_list(
-    edges: Iterable[Sequence[int]],
-    num_vertices: Optional[int] = None,
-    weights: Optional[Sequence[float]] = None,
-    name: str = "graph",
-    **kwargs,
-) -> CSRGraph:
-    """Build a graph from an iterable of ``(source, target)`` pairs.
-
-    ``num_vertices`` defaults to one more than the largest vertex ID seen.
-
-    .. deprecated:: use :func:`repro.graph.load` instead.
-    """
-    _deprecated("repro.graph.builder.from_edge_list", "repro.graph.load")
-    return _from_edge_list(edges, num_vertices=num_vertices, weights=weights, name=name, **kwargs)

@@ -208,11 +208,12 @@ class CSRGraph:
         rng = np.random.default_rng(seed)
         out_weights = rng.integers(low, high + 1, size=self.num_edges).astype(WEIGHT_DTYPE)
 
-        # Mirror the weights onto the in-adjacency: build the in-CSR edge
-        # ordering exactly the way build_csr does and carry weights along.
+        # Mirror the weights onto the in-adjacency: order the edges the way
+        # the builder orders the in-CSR and carry the weights along.
+        from repro.graph.builder import _sort_edges
+
         sources, targets = self.edge_arrays()
-        order = np.lexsort((sources, targets))
-        in_weights = out_weights[order]
+        _, _, in_weights = _sort_edges(self.num_vertices, targets, sources, out_weights)
         return CSRGraph(
             out_index=self.out_index.copy(),
             out_targets=self.out_targets.copy(),

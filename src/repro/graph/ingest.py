@@ -23,8 +23,8 @@ corrupt entry reads as a miss and is rebuilt.
 pass A streams parsed chunks to a binary spill while accumulating degree
 counts, pass B scatters each chunk into ``np.memmap``-backed adjacency
 arrays with a counting-sort cursor, and pass C sorts each vertex's neighbour
-run in bounded blocks.  The result is bit-identical to
-:func:`repro.graph.builder.build_csr` on the same edges, so an
+run in bounded blocks with the in-RAM builder's own ordering helper.  The
+result is bit-identical to the in-RAM build of the same edges, so an
 :class:`~repro.graph.csr.MmapCSRGraph` loaded from the cache replays through
 the trace pipeline with exactly the CacheStats of the in-RAM path.
 
@@ -49,6 +49,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.graph.builder import _build_csr, _sort_edges
 from repro.graph.csr import (
     INDEX_DTYPE,
     VERTEX_DTYPE,
@@ -454,11 +455,9 @@ def parse_graph(path: PathLike, options: ParseOptions = ParseOptions(),
     """Parse a graph file fully into RAM (the small-graph path).
 
     The result is produced by the same parser as the out-of-core path and
-    assembled with :func:`repro.graph.builder.build_csr`, so both paths are
-    bit-identical on the same file.
+    assembled with the in-RAM builder (``repro.graph.builder._build_csr``),
+    so both paths are bit-identical on the same file.
     """
-    from repro.graph.builder import _build_csr
-
     reader = make_reader(path, options.fmt, chunk_edges=chunk_edges)
     srcs, dsts, wts = [], [], []
     for chunk in reader.chunks():
@@ -529,8 +528,10 @@ def _sort_neighbour_runs(index: np.ndarray, adjacency: np.ndarray,
                          weights: Optional[np.ndarray], block_edges: int) -> None:
     """Sort each vertex's neighbour run (stable), in bounded edge blocks.
 
-    Equivalent to ``build_csr``'s global ``lexsort((other, group))`` because
-    the scatter preserved input order within each run.
+    Uses the in-RAM builder's ``_sort_edges`` on each block, so the order
+    is the package-wide one: sorted by (vertex, neighbour), ties in input
+    order.  That equals a global sort because the scatter kept input order
+    within each run.
     """
     num_vertices = index.shape[0] - 1
     v0 = 0
@@ -543,10 +544,13 @@ def _sort_neighbour_runs(index: np.ndarray, adjacency: np.ndarray,
             seg = np.array(adjacency[lo:hi])
             counts = np.diff(index[v0 : v1 + 1])
             owners = np.repeat(np.arange(v0, v1, dtype=INDEX_DTYPE), counts)
-            order = np.lexsort((seg, owners))
-            adjacency[lo:hi] = seg[order]
+            block_weights = None if weights is None else np.array(weights[lo:hi])
+            _, sorted_seg, sorted_weights = _sort_edges(
+                num_vertices, owners, seg, block_weights
+            )
+            adjacency[lo:hi] = sorted_seg
             if weights is not None:
-                weights[lo:hi] = np.array(weights[lo:hi])[order]
+                weights[lo:hi] = sorted_weights
         v0 = v1
 
 

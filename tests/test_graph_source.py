@@ -266,12 +266,6 @@ class TestDeprecationWrappers:
             lambda: graph_pkg.chung_lu_graph(60, 3.0, seed=1),
             lambda: graph_pkg.rmat_graph(scale=6, seed=1),
             lambda: graph_pkg.uniform_random_graph(50, 3.0, seed=1),
-            lambda: graph_pkg.build_csr(
-                4, np.array([0, 1]), np.array([1, 2])
-            ),
-            lambda: graph_pkg.from_edge_list(
-                [(0, 1), (1, 2)], num_vertices=3
-            ),
         ],
     )
     def test_old_entry_points_warn_and_work(self, call):

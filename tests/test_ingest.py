@@ -3,7 +3,7 @@
 Covers the chunked parsers (edge-list / SNAP / Matrix-Market, gzip
 transparent), malformed-input handling (loud ``GraphError``s, never silent
 corruption), the binary-CSR cache (hits, torn writes, corruption recovery),
-the out-of-core builder's bit-identity with the in-RAM ``build_csr``, the
+the out-of-core builder's bit-identity with the in-RAM ``_build_csr``, the
 ``MmapCSRGraph`` backing (including the acceptance criterion: bit-identical
 CacheStats through the trace pipeline against the in-RAM load), the vendored
 sample graphs, and the checksum download tooling (over ``file://`` URLs).
