@@ -8,11 +8,9 @@ backends and reports simulated accesses per second.  The acceptance bar is a
 >= 5x speed-up over the scalar reference for *each* scheme.
 
 As with the RRIP benchmark, the bar is carried by the compiled kernels
-(`repro.fastsim.kernels`); the portable NumPy engines are exact but their
-set-parallel batches are bounded by the scaled-down LLC's 16 sets (and the
-globally shared predictor tables serialize part of the SHiP/Leeway/Hawkeye
-work), so the benchmark skips when no C compiler is available rather than
-measure engines the dispatch would not pick for throughput-critical runs.
+(`repro.fastsim.kernels`).  Without a C compiler the SHiP/Hawkeye/Leeway/PIN
+schemes and one-shot OPT route to the scalar reference itself, so the
+benchmark skips: there is no fast engine to hold to the bar.
 """
 
 import pytest
@@ -54,8 +52,8 @@ def _replay_all(traces, llc_config, scheme, backend):
 
 def test_policy_matrix_throughput(benchmark, bench_config):
     if not kernels.available():
-        pytest.skip("no C compiler for the native kernels; NumPy engines are "
-                    "exactness-oriented and not held to the 5x bar")
+        pytest.skip("no C compiler for the native kernels; these schemes "
+                    "route to the scalar reference")
     traces = _fig6_llc_traces(bench_config)
     total_accesses = sum(len(llc_trace) for _, llc_trace in traces)
     llc = bench_config.hierarchy.llc

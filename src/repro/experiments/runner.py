@@ -23,12 +23,14 @@ Fast-path dispatch
 Stages 5 and 6 exist in two implementations.  The default ``vector`` backend
 (:mod:`repro.fastsim`) replays the always-LRU L1-D/L2 filters as batched
 NumPy stack-distance computations, and the LLC whenever the scheme under
-study has a vectorized engine — plain LRU (stack-distance), the whole RRIP
-family (SRRIP/BRRIP/DRRIP/GRASP, batched set-parallel sweeps with exact PSEL
-set dueling and per-access reuse hints), and since PR 4 the full comparison
-matrix: SHiP-MEM, Hawkeye, Leeway, the PIN-X pinning configurations
-(including BYPASS accounting) and Belady's OPT.  Only the GRASP ablation
-subclasses fall back to the scalar per-access simulator, which also remains
+study has a fast engine — plain LRU (stack-distance), the whole RRIP
+family (SRRIP/BRRIP/DRRIP/GRASP, with exact PSEL set dueling and per-access
+reuse hints) and the rest of the comparison matrix: SHiP-MEM, Hawkeye,
+Leeway, the PIN-X pinning configurations (including BYPASS accounting) and
+Belady's OPT.  The GRASP ablation subclasses fall back to the scalar
+per-access simulator, as do the native-only families (everything but LRU
+and OPT) on hosts without the kernel library — the execution planner
+(:mod:`repro.fastsim.plan`) decides.  The scalar simulator also remains
 selectable as a whole via ``backend="scalar"`` (per call),
 :attr:`ExperimentConfig.backend` (per experiment) or the
 ``REPRO_SIM_BACKEND`` environment variable (process-wide).
@@ -574,12 +576,13 @@ def simulate_llc_policy(
     """Replay an LLC trace under one replacement policy.
 
     Routing goes through :class:`repro.fastsim.plan.RoutePlanner`: schemes
-    with a vectorized engine — plain LRU, the exact RRIP-family policies
+    with a fast engine — plain LRU, the exact RRIP-family policies
     (SRRIP/BRRIP/DRRIP/GRASP, with the trace's reuse-hint stream wired
-    through) and the PR 4 engines for SHiP-MEM, Hawkeye, Leeway and PIN-X
-    (hint and PC streams wired through) — dispatch to
-    :func:`repro.fastsim.vector_policy_replay`; only the GRASP ablation
-    subclasses use the scalar simulator regardless of the backend.
+    through) and the engines for SHiP-MEM, Hawkeye, Leeway and PIN-X (hint
+    and PC streams wired through) — dispatch to
+    :func:`repro.fastsim.vector_policy_replay`; the GRASP ablation
+    subclasses use the scalar simulator regardless of the backend, and so
+    does every scheme but LRU when the native kernels are unavailable.
     """
     if type(policy) is BeladyOptimal:
         # OPT cannot run online through SetAssociativeCache: its "scalar"
@@ -621,9 +624,10 @@ def simulate_opt(
     """Belady's OPT lower bound on misses for an LLC trace.
 
     Dispatches like :func:`simulate_llc_policy`: the ``vector`` backend uses
-    the batched next-use engine (:mod:`repro.fastsim.opt`), ``scalar`` the
-    offline reference loop, and ``verify`` runs both and asserts identical
-    counts.
+    the native next-use engine (:mod:`repro.fastsim.opt`) — or, without the
+    kernel library, the offline reference loop, which beats the NumPy
+    engine on a materialized trace — ``scalar`` the offline reference loop,
+    and ``verify`` runs both and asserts identical counts.
     """
     plan = PLANNER.plan(SimRequest(schemes=("OPT",), backend=backend))
     if plan.route == ROUTE_OPT_SCALAR:

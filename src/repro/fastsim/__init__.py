@@ -1,10 +1,10 @@
-"""NumPy-vectorized fast path for the trace-driven cache simulation.
+"""Fast path (NumPy and native kernels) for the trace-driven cache simulation.
 
 The scalar simulator (:mod:`repro.cache.cache`) replays one access at a time
 through Python-level policy objects.  That is the reference implementation —
 easy to audit against the paper, but it costs microseconds per access.  This
-package reimplements the hot stages of the pipeline as batched computations
-over whole traces:
+package reimplements the hot stages of the pipeline as batched NumPy
+computations over whole traces or as compiled kernels:
 
 ``stackdist``
     The LRU engine.  Exploits the LRU *stack property*: a W-way set hits an
@@ -15,27 +15,29 @@ over whole traces:
 ``rrip``
     The RRIP-family engine (SRRIP, BRRIP, DRRIP and GRASP with per-access
     reuse hints) — the policies behind every headline result of the paper.
-    Keeps the whole simulator state (tags, RRPV counters, the set-dueling
-    PSEL counter) in NumPy arrays and replays the trace in batched
-    set-parallel sweeps, reproducing the scalar policies bit-exactly
-    including the global duel state.
-``ship`` / ``hawkeye`` / ``leeway`` / ``pin`` / ``opt``
-    The remaining schemes of the paper's comparison matrix (Figs. 5-11):
-    SHiP-MEM, Hawkeye, Leeway, the PIN-X pinning configurations (including
-    BYPASS when a set is fully pinned) and Belady's OPT.  Per-set state
-    (tags, RRPVs, pinned masks, recency positions, next-use values) batches
-    under the same set-parallel chunking as ``rrip``; globally shared
-    learning state (SHiP's SHCT, Leeway's and Hawkeye's PC predictors) is
-    advanced in exact trace order over each chunk's sparse events, the same
-    way the RRIP engine walks PSEL updates.
+    Array-form policy specs drive a native kernel that reproduces the
+    scalar policies bit-exactly, including the global duel state.
+``ship`` / ``hawkeye`` / ``leeway`` / ``pin``
+    The remaining online schemes of the paper's comparison matrix
+    (Figs. 5-11): SHiP-MEM, Hawkeye, Leeway and the PIN-X pinning
+    configurations (including BYPASS when a set is fully pinned), each an
+    array-form spec plus a native kernel that also tracks the globally
+    shared learning state (SHiP's SHCT, Leeway's and Hawkeye's PC
+    predictors) in exact trace order.
+``opt``
+    Belady's OPT over next-use links: batched set-parallel NumPy chunks
+    plus a native kernel.
 ``kernels``
-    Optional accelerator: tiny C kernels compiled on demand (plain ``cc``,
-    no third-party packages) for every engine, an order of magnitude faster
-    than NumPy.  Kernels live in a registry package — one module per engine
-    family, a shared ``register_kernel``/capability-probe API, and a single
-    lazily-compiled translation unit (nothing compiles at import time).  The
-    ``*_replay`` dispatchers use them automatically; set ``REPRO_NATIVE=0``
-    or remove the compiler and everything transparently stays on NumPy.
+    Tiny C kernels compiled on demand (plain ``cc``, no third-party
+    packages) for every engine.  Kernels live in a registry package — one
+    module per engine family, a shared ``register_kernel``/capability-probe
+    API, and a single lazily-compiled translation unit (nothing compiles at
+    import time).  With ``REPRO_NATIVE=0`` or no working compiler, LRU, OPT
+    and the L1/L2 filter stay on their NumPy engines; the RRIP, PIN, SHiP,
+    Hawkeye and Leeway engines are native-only (they raise
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable`) and the planner
+    routes those families to the scalar reference simulator, which beats
+    any batched NumPy formulation of them.
     (:mod:`repro.fastsim._native` is a *deprecated* facade for old imports —
     it emits a :class:`DeprecationWarning`; import the registry instead.)
 ``pipeline``
@@ -57,7 +59,7 @@ over whole traces:
     Sec. IV of the paper), with a scalar reference path and an equivalence
     guard used by the ``verify`` backend.
 ``replay``
-    Vectorized LLC replay dispatch for stage 6 — every scheme of the paper's
+    Fast LLC replay dispatch for stage 6 — every scheme of the paper's
     matrix, including the per-region statistics breakdown of Fig. 2.
     :func:`supports_vector_replay` is the predicate deciding which policies
     qualify (exact policy types only; subclasses fall back to scalar).
@@ -67,9 +69,10 @@ over whole traces:
     can be overridden with the ``REPRO_SIM_BACKEND`` environment variable or
     per-call/per-config.
 
-Only the GRASP ablation variants (RRIP+Hints, insertion-only GRASP) still
-use the scalar simulator regardless of the selected backend — they subclass
-DRRIP/GRASP and override hooks the array-form specs cannot express.
+The GRASP ablation variants (RRIP+Hints, insertion-only GRASP) use the
+scalar simulator regardless of the selected backend — they subclass
+DRRIP/GRASP and override hooks the array-form specs cannot express — and so
+do the native-only families on hosts without the kernel library.
 """
 
 from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
@@ -91,13 +94,13 @@ from repro.fastsim.filter import (
     scalar_filter,
     vector_filter,
 )
+from repro.fastsim.kernels import NativeKernelUnavailable
 from repro.fastsim.hawkeye import (
     HawkeyeReplay,
     HawkeyeSpec,
     HawkeyeStream,
     hawkeye_replay,
     hawkeye_spec,
-    numpy_hawkeye_replay,
 )
 from repro.fastsim.leeway import (
     LeewayReplay,
@@ -105,7 +108,6 @@ from repro.fastsim.leeway import (
     LeewayStream,
     leeway_replay,
     leeway_spec,
-    numpy_leeway_replay,
 )
 from repro.fastsim.opt import (
     OptReplay,
@@ -119,7 +121,6 @@ from repro.fastsim.pin import (
     PinReplay,
     PinSpec,
     PinStream,
-    numpy_pin_replay,
     pin_replay,
     pin_spec,
 )
@@ -152,7 +153,6 @@ from repro.fastsim.rrip import (
     RRIPReplay,
     RRIPSpec,
     RRIPStream,
-    numpy_rrip_replay,
     rrip_replay,
     rrip_spec,
 )
@@ -160,7 +160,6 @@ from repro.fastsim.ship import (
     ShipReplay,
     ShipSpec,
     ShipStream,
-    numpy_ship_replay,
     ship_replay,
     ship_spec,
 )
@@ -196,6 +195,7 @@ __all__ = [
     "FusedPipeline",
     "FusedStats",
     "MultiFusedPipeline",
+    "NativeKernelUnavailable",
     "HawkeyeReplay",
     "HawkeyeSpec",
     "HawkeyeStream",
@@ -227,13 +227,8 @@ __all__ = [
     "leeway_spec",
     "lru_replay",
     "next_use_indices",
-    "numpy_hawkeye_replay",
-    "numpy_leeway_replay",
     "numpy_lru_replay",
     "numpy_opt_replay",
-    "numpy_pin_replay",
-    "numpy_rrip_replay",
-    "numpy_ship_replay",
     "occurrence_order",
     "opt_replay",
     "pin_replay",

@@ -1,31 +1,19 @@
-"""Exact vectorized replay for Hawkeye (OPTgen-trained PC prediction).
+"""Exact native replay for Hawkeye (OPTgen-trained PC prediction).
 
 :class:`~repro.cache.policies.hawkeye.HawkeyePolicy` couples every cache set
 through one global PC predictor: accesses to sampled sets train it via the
 per-set OPTgen reconstruction, every hit and insertion reads it, and
-evictions of friendly lines detrain it.  What *does* batch under the RRIP
-engine's chunking (every set at most once per chunk) is everything keyed by
-per-set state alone:
+evictions of friendly lines detrain it.  The compiled kernel
+(:mod:`repro.fastsim.kernels.hawkeye`) replays all of it in trace order,
+reimplementing OPTgen with dense block/PC ids and ring-buffer occupancy
+vectors of ``history_factor * ways`` entries per sampled set.
 
-* the broadcast tag compare classifying the whole chunk's hits;
-* empty-way discovery and the victim way itself — Hawkeye's victim choice
-  (leftmost saturated line, else the oldest line) reads only RRPVs, which a
-  chunk's other accesses cannot touch;
-* the tag scatter writes for the chunk's insertions.
-
-The predictor reads (insertion/hit RRPVs depend on the PC's current
-friendliness), detrains and OPTgen updates are then applied in exact trace
-order by a walk over the chunk — the same pattern the RRIP engine uses for
-PSEL, with a heavier per-event body.  The walk reuses the scalar policy's
-:class:`~repro.cache.policies.hawkeye._OptGen` so the reconstruction cannot
-drift from the reference; the compiled kernel reimplements it with dense
-block/PC ids and ring-buffer occupancy vectors and is the throughput path
-(the NumPy engine is the exactness/portability fallback, as for RRIP).
-
-:func:`hawkeye_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.hawkeye_replay`) when one is available and to
-:func:`numpy_hawkeye_replay` otherwise; both are exact, including the final
-predictor contents.
+:func:`hawkeye_replay` and :class:`HawkeyeStream` are exact, including the
+final predictor contents.  Both need the native kernel library and raise
+:class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; a
+zero-length OPTgen window (``history_factor <= 0``) has no ring buffer and
+raises :class:`ValueError`.  The execution planner routes both cases to the
+scalar reference simulator.
 """
 
 from __future__ import annotations
@@ -36,15 +24,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.policies.hawkeye import HawkeyePolicy, _OptGen
+from repro.cache.policies.hawkeye import HawkeyePolicy
 from repro.fastsim import kernels
 from repro.fastsim.leeway import _pc_array
-from repro.fastsim.rrip import _chunk_end
-from repro.fastsim.stackdist import (
-    DenseIdMap,
-    grow_to,
-    previous_occurrence_indices,
-)
+from repro.fastsim.stackdist import DenseIdMap, grow_to
 
 
 @dataclass(frozen=True)
@@ -106,59 +89,51 @@ class HawkeyeReplay:
         return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
+def _history_window(spec: HawkeyeSpec, ways: int) -> int:
+    """OPTgen window length; the native ring buffer needs a positive one."""
+    history = spec.history_factor * ways
+    if history <= 0:
+        raise ValueError(
+            f"Hawkeye history_factor={spec.history_factor} gives a zero-length "
+            "OPTgen window, which the native kernel cannot hold; replay this "
+            "configuration through the scalar reference simulator"
+        )
+    return history
+
+
 class HawkeyeStream:
     """Resumable exact Hawkeye replay: feed a block/PC stream in chunks.
 
     Carries tags, RRPVs, per-line friendliness/PCs, the global PC predictor
-    and every sampled set's OPTgen reconstruction across :meth:`feed` calls;
+    and every sampled set's OPTgen ring buffer across :meth:`feed` calls;
     chunked replay is bit-identical to one replay over the concatenation.
-
-    The two backends keep different state representations (the NumPy path
-    reuses the scalar policy's :class:`_OptGen` objects, the compiled kernel
-    dense ring buffers with grow-only block/PC id maps), so the backend is
-    fixed at construction.
+    Block and PC ids are densified incrementally (grow-only id maps).
+    Building a stream without the native kernel raises
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable`.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        spec: HawkeyeSpec,
-        use_native: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int, spec: HawkeyeSpec) -> None:
+        kernels.require("replay:hawkeye", "HawkeyeStream")
+        self._history = _history_window(spec, ways)
         self.num_sets = num_sets
         self.ways = ways
         self.spec = spec
-        self._history = spec.history_factor * ways
-        if use_native is None:
-            use_native = kernels.available() and self._history > 0
-        self._use_native = bool(use_native)
         self.misses_per_set = np.zeros(num_sets, dtype=np.int64)
         self.hit_count = 0
-        if self._use_native:
-            num_samplers = (num_sets + spec.sample_period - 1) // spec.sample_period
-            self.tags = np.full(num_sets * ways, -1, dtype=np.int64)
-            self.rrpv = np.full(num_sets * ways, spec.max_rrpv, dtype=np.int32)
-            self._friendly = np.zeros(num_sets * ways, dtype=np.uint8)
-            self._line_pc = np.zeros(num_sets * ways, dtype=np.int64)
-            self._block_ids = DenseIdMap()
-            self._pc_id_map = DenseIdMap()
-            self._predictor = np.empty(0, dtype=np.int32)
-            self._last_access = np.empty(0, dtype=np.int64)
-            self._last_pc = np.empty(0, dtype=np.int64)
-            self._occupancy = np.zeros(
-                max(1, num_samplers * self._history), dtype=np.int32
-            )
-            self._occ_head = np.zeros(max(1, num_samplers), dtype=np.int64)
-            self._occ_len = np.zeros(max(1, num_samplers), dtype=np.int64)
-            self._timestamps = np.zeros(max(1, num_samplers), dtype=np.int64)
-        else:
-            self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
-            self.rrpv = np.full((num_sets, ways), spec.max_rrpv, dtype=np.int64)
-            self._friendly = [[False] * ways for _ in range(num_sets)]
-            self._line_pc = [[0] * ways for _ in range(num_sets)]
-            self._predictor_dict: Dict[int, int] = {}
-            self._samplers: Dict[int, _OptGen] = {}
+        num_samplers = (num_sets + spec.sample_period - 1) // spec.sample_period
+        self.tags = np.full(num_sets * ways, -1, dtype=np.int64)
+        self.rrpv = np.full(num_sets * ways, spec.max_rrpv, dtype=np.int32)
+        self._friendly = np.zeros(num_sets * ways, dtype=np.uint8)
+        self._line_pc = np.zeros(num_sets * ways, dtype=np.int64)
+        self._block_ids = DenseIdMap()
+        self._pc_id_map = DenseIdMap()
+        self._predictor = np.empty(0, dtype=np.int32)
+        self._last_access = np.empty(0, dtype=np.int64)
+        self._last_pc = np.empty(0, dtype=np.int64)
+        self._occupancy = np.zeros(num_samplers * self._history, dtype=np.int32)
+        self._occ_head = np.zeros(num_samplers, dtype=np.int64)
+        self._occ_len = np.zeros(num_samplers, dtype=np.int64)
+        self._timestamps = np.zeros(num_samplers, dtype=np.int64)
 
     @property
     def miss_count(self) -> int:
@@ -174,17 +149,11 @@ class HawkeyeStream:
     def predictor(self) -> Dict[int, int]:
         """Current PC predictor, restricted to counters off the midpoint."""
         midpoint = self.spec.midpoint
-        if self._use_native:
-            return {
-                int(pc): int(value)
-                for pc, value in zip(
-                    self._pc_id_map.keys_in_id_order(), self._predictor.tolist()
-                )
-                if value != midpoint
-            }
         return {
-            pc: value
-            for pc, value in self._predictor_dict.items()
+            int(pc): int(value)
+            for pc, value in zip(
+                self._pc_id_map.keys_in_id_order(), self._predictor.tolist()
+            )
             if value != midpoint
         }
 
@@ -197,14 +166,6 @@ class HawkeyeStream:
         pc_values = _pc_array(pcs, n)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if self._use_native:
-            hits = self._native_feed(blocks, pc_values)
-        else:
-            hits = self._numpy_feed(blocks, pc_values)
-        self.hit_count += int(hits.sum())
-        return hits
-
-    def _native_feed(self, blocks: np.ndarray, pc_values: np.ndarray) -> np.ndarray:
         spec = self.spec
         block_ids = self._block_ids.map(blocks)
         pc_ids = self._pc_id_map.map(pc_values)
@@ -236,133 +197,8 @@ class HawkeyeStream:
             self._timestamps,
             self.misses_per_set,
         )
-        if hits is None:
-            raise RuntimeError(
-                "compiled Hawkeye kernel disappeared mid-stream; "
-                "construct HawkeyeStream with use_native=False"
-            )
+        self.hit_count += int(hits.sum())
         return hits
-
-    def _numpy_feed(self, blocks: np.ndarray, pc_values: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        num_sets, ways = self.num_sets, self.ways
-        max_rrpv = spec.max_rrpv
-        sample_period = spec.sample_period
-        predictor_max = spec.predictor_max
-        midpoint = spec.midpoint
-        history = self._history
-        predictor = self._predictor_dict
-        samplers = self._samplers
-        tags, rrpv = self.tags, self.rrpv
-        friendly, line_pc = self._friendly, self._line_pc
-        n = int(blocks.shape[0])
-        hits = np.zeros(n, dtype=bool)
-        set_ids = blocks & (num_sets - 1)
-        prev = previous_occurrence_indices(set_ids)
-
-        def train(pc: int, positive: bool) -> None:
-            value = predictor.get(pc, midpoint)
-            predictor[pc] = (
-                min(predictor_max, value + 1) if positive else max(0, value - 1)
-            )
-
-        def observe(set_index: int, block: int, pc: int) -> None:
-            sampler = samplers.get(set_index)
-            if sampler is None:
-                sampler = _OptGen(ways, history)
-                samplers[set_index] = sampler
-            training_pc, opt_hit = sampler.access(block, pc)
-            if training_pc is not None:
-                train(training_pc, opt_hit)
-
-        position = 0
-        while position < n:
-            end = _chunk_end(prev, position, n)
-            sets = set_ids[position:end]
-            chunk_blocks = blocks[position:end]
-
-            match = tags[sets] == chunk_blocks[:, None]
-            is_hit = match.any(axis=1)
-            hits[position:end] = is_hit
-            hit_way = match.argmax(axis=1)
-            # Victim preselection is predictor-independent (RRPVs only) and a
-            # chunk's other accesses cannot touch this set's RRPVs, so it
-            # batches; the no-saturated-line fallback must detrain during the
-            # walk below.
-            empty = tags[sets] == -1
-            has_empty = empty.any(axis=1)
-            empty_way = empty.argmax(axis=1)
-            saturated = rrpv[sets] >= max_rrpv
-            has_saturated = saturated.any(axis=1)
-            saturated_way = saturated.argmax(axis=1)
-            oldest_way = rrpv[sets].argmax(axis=1)
-
-            sets_list = sets.tolist()
-            blocks_list = chunk_blocks.tolist()
-            pcs_list = pc_values[position:end].tolist()
-            for k, (set_index, block, pc) in enumerate(
-                zip(sets_list, blocks_list, pcs_list)
-            ):
-                sampled = set_index % sample_period == 0
-                if is_hit[k]:
-                    way = int(hit_way[k])
-                    if sampled:
-                        observe(set_index, block, pc)
-                    is_friendly = predictor.get(pc, midpoint) >= midpoint
-                    friendly[set_index][way] = is_friendly
-                    line_pc[set_index][way] = pc
-                    rrpv[set_index, way] = 0 if is_friendly else max_rrpv
-                    continue
-                if has_empty[k]:
-                    way = int(empty_way[k])
-                elif has_saturated[k]:
-                    way = int(saturated_way[k])
-                else:
-                    way = int(oldest_way[k])
-                    if friendly[set_index][way]:
-                        train(line_pc[set_index][way], positive=False)
-                if sampled:
-                    observe(set_index, block, pc)
-                is_friendly = predictor.get(pc, midpoint) >= midpoint
-                if is_friendly:
-                    # Age everyone else so older friendly lines eventually
-                    # age out.
-                    row = rrpv[set_index]
-                    ageable = row < max_rrpv - 1
-                    ageable[way] = False
-                    row[ageable] += 1
-                friendly[set_index][way] = is_friendly
-                line_pc[set_index][way] = pc
-                rrpv[set_index, way] = 0 if is_friendly else max_rrpv
-                tags[set_index, way] = block
-            position = end
-
-        self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
-        return hits
-
-
-def numpy_hawkeye_replay(
-    block_addresses: np.ndarray,
-    pcs: Optional[np.ndarray],
-    num_sets: int,
-    ways: int,
-    spec: HawkeyeSpec,
-) -> HawkeyeReplay:
-    """Batched-classification replay (the portable engine).
-
-    Exact with respect to the scalar policy: identical per-access hit masks,
-    per-set miss counts, predictor trainings and OPTgen decisions.  One
-    :class:`HawkeyeStream` feed over the whole stream — chunked feeds of the
-    same stream are bit-identical by construction.
-    """
-    stream = HawkeyeStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses, pcs)
-    return HawkeyeReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        predictor=stream.predictor,
-    )
 
 
 def hawkeye_replay(
@@ -375,10 +211,12 @@ def hawkeye_replay(
     """Replay a block stream through a ``num_sets`` x ``ways`` Hawkeye cache.
 
     ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_hawkeye_replay` otherwise; both are exact.
+    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
+    compiled kernel (:mod:`repro.fastsim.kernels`); raises
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
     """
+    kernels.require("replay:hawkeye", "hawkeye_replay")
+    history = _history_window(spec, ways)
     blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
     n = int(blocks.shape[0])
     pc_values = _pc_array(pcs, n)
@@ -395,20 +233,18 @@ def hawkeye_replay(
         spec.max_rrpv,
         spec.sample_period,
         spec.predictor_max,
-        spec.history_factor * ways,
+        history,
     )
-    if native is not None:
-        native_hits, misses_per_set, predictor_values = native
-        midpoint = spec.midpoint
-        predictor = {
-            int(unique_pcs[index]): int(value)
-            for index, value in enumerate(predictor_values.tolist())
-            if value != midpoint
-        }
-        return HawkeyeReplay(
-            hits=native_hits,
-            misses_per_set=misses_per_set,
-            ways=ways,
-            predictor=predictor,
-        )
-    return numpy_hawkeye_replay(blocks, pc_values, num_sets, ways, spec)
+    native_hits, misses_per_set, predictor_values = native
+    midpoint = spec.midpoint
+    predictor = {
+        int(unique_pcs[index]): int(value)
+        for index, value in enumerate(predictor_values.tolist())
+        if value != midpoint
+    }
+    return HawkeyeReplay(
+        hits=native_hits,
+        misses_per_set=misses_per_set,
+        ways=ways,
+        predictor=predictor,
+    )

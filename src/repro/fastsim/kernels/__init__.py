@@ -15,6 +15,7 @@ from repro.fastsim.kernels.registry import (
     CC_ENV_VAR,
     KernelSpec,
     NATIVE_ENV_VAR,
+    NativeKernelUnavailable,
     THREADS_ENV_VAR,
     available,
     build_key,
@@ -23,6 +24,7 @@ from repro.fastsim.kernels.registry import (
     lookup,
     register_kernel,
     registered,
+    require,
     reset,
     resolved,
     thread_count,
@@ -54,6 +56,7 @@ __all__ = [
     "FilterState",
     "KernelSpec",
     "NATIVE_ENV_VAR",
+    "NativeKernelUnavailable",
     "RegionTable",
     "THREADS_ENV_VAR",
     "available",
@@ -80,6 +83,7 @@ __all__ = [
     "pin_replay",
     "register_kernel",
     "registered",
+    "require",
     "reset",
     "resolved",
     "rrip_feed",

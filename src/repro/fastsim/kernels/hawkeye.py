@@ -269,8 +269,8 @@ def hawkeye_replay(
 ):
     """Hawkeye replay through the compiled kernel; ``None`` when unavailable.
 
-    Returns ``(hits, misses_per_set, predictor)`` matching
-    :func:`repro.fastsim.hawkeye.numpy_hawkeye_replay` exactly;
+    Returns ``(hits, misses_per_set, predictor)``, exact with respect to
+    the scalar :class:`~repro.cache.policies.hawkeye.HawkeyePolicy`;
     ``predictor`` is the final counter table indexed by dense PC id.
     """
     if registry.lookup("hawkeye_replay") is None or history <= 0:

@@ -176,9 +176,9 @@ def leeway_replay(
 ):
     """Leeway replay through the compiled kernel; ``None`` when unavailable.
 
-    Returns ``(hits, misses_per_set, predicted)`` matching
-    :func:`repro.fastsim.leeway.numpy_leeway_replay` exactly; ``predicted``
-    is the final live-distance table indexed by dense PC id.
+    Returns ``(hits, misses_per_set, predicted)``, exact with respect to
+    the scalar :class:`~repro.cache.policies.leeway.LeewayPolicy`;
+    ``predicted`` is the final live-distance table indexed by dense PC id.
     """
     if registry.lookup("leeway_replay") is None:
         return None

@@ -211,8 +211,9 @@ def pin_replay(
 ):
     """PIN-X replay through the compiled kernel; ``None`` when unavailable.
 
-    Returns ``(hits, misses_per_set, bypasses_per_set, psel, insert_count)``
-    matching :func:`repro.fastsim.pin.numpy_pin_replay` exactly.
+    Returns ``(hits, misses_per_set, bypasses_per_set, psel, insert_count)``,
+    exact with respect to the scalar
+    :class:`~repro.cache.policies.pin.PinningPolicy`.
     """
     if registry.lookup("pin_replay") is None:
         return None

@@ -15,8 +15,11 @@ directory.  The cache key hashes the *composed source, the compiler flags
 and the compiler itself*, so editing a fragment, changing flags, or
 switching compilers forces a rebuild instead of silently loading a stale
 kernel.  Failure at any point (no compiler, sandboxed exec, bad flags)
-degrades to "no native kernels": :func:`lookup` returns ``None`` and every
-engine falls back to its NumPy path.
+degrades to "no native kernels": :func:`lookup` returns ``None``, the
+execution planner routes the RRIP/PIN/SHiP/Hawkeye/Leeway families to the
+scalar reference simulator (LRU, OPT and the L1/L2 filter keep their NumPy
+engines), and the native-only engines refuse to build with
+:class:`NativeKernelUnavailable` (:func:`require`).
 
 Environment knobs:
 
@@ -24,7 +27,7 @@ Environment knobs:
     Disable native kernels entirely (never compile, never load).
 ``REPRO_CC``
     C compiler executable (default ``cc``).  Pointing it at a missing or
-    broken binary exercises the NumPy degradation path.
+    broken binary exercises the compiler-less degradation path.
 ``REPRO_THREADS``
     Worker-thread count for the fused pipeline's filter phase
     (:func:`thread_count`); unset or ``1`` means single-threaded.
@@ -260,6 +263,27 @@ def lookup(symbol: str):
     return _FUNCTIONS.get(symbol)
 
 
+class NativeKernelUnavailable(RuntimeError):
+    """A native-only engine was requested on a host without the kernels."""
+
+
+def require(capability: str, engine: str) -> None:
+    """Raise :class:`NativeKernelUnavailable` unless ``capability`` resolved.
+
+    ``engine`` names the caller in the message, which also names the two
+    knobs that disable the library, so the failure says what to fix.
+    """
+    if has_capability(capability):
+        return
+    raise NativeKernelUnavailable(
+        f"{engine} needs the native kernel capability {capability!r}, but the "
+        f"kernel library is unavailable ({NATIVE_ENV_VAR}=0, or no working C "
+        f"compiler at {CC_ENV_VAR}={_compiler()!r}); it has no NumPy engine. "
+        "Plan through repro.fastsim.plan, which routes this family to the "
+        "scalar reference simulator when the kernels are missing"
+    )
+
+
 def capabilities() -> FrozenSet[str]:
     """Capability names provided by the resolved library (empty if none)."""
     _resolve()
@@ -304,6 +328,7 @@ __all__ = [
     "CC_ENV_VAR",
     "KernelSpec",
     "NATIVE_ENV_VAR",
+    "NativeKernelUnavailable",
     "THREADS_ENV_VAR",
     "available",
     "build_key",
@@ -312,6 +337,7 @@ __all__ = [
     "lookup",
     "register_kernel",
     "registered",
+    "require",
     "reset",
     "resolved",
     "thread_count",

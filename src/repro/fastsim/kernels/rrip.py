@@ -204,8 +204,8 @@ def rrip_replay(
 ):
     """RRIP-family replay through the compiled kernel; ``None`` when unavailable.
 
-    Returns ``(hits, misses_per_set, psel, insert_count)`` matching the NumPy
-    engine (:func:`repro.fastsim.rrip.numpy_rrip_replay`) exactly.
+    Returns ``(hits, misses_per_set, psel, insert_count)``, exact with
+    respect to the scalar RRIP-family policies.
     """
     if registry.lookup("rrip_replay") is None:
         return None

@@ -158,9 +158,9 @@ def ship_replay(
 ):
     """SHiP-MEM replay through the compiled kernel; ``None`` when unavailable.
 
-    Returns ``(hits, misses_per_set, shct)`` matching
-    :func:`repro.fastsim.ship.numpy_ship_replay` exactly; ``shct`` is the
-    final counter table indexed by dense signature id.
+    Returns ``(hits, misses_per_set, shct)``, exact with respect to the
+    scalar :class:`~repro.cache.policies.ship.ShipMemPolicy`; ``shct`` is
+    the final counter table indexed by dense signature id.
     """
     if registry.lookup("ship_replay") is None:
         return None

@@ -8,11 +8,11 @@ replays forwards with a per-set ``dict`` of resident blocks, scanning it with
 * the next-use links are the mirror image of the previous-occurrence links
   the LRU engine already computes — one stable block-sort
   (:func:`repro.fastsim.stackdist.occurrence_order`) yields both directions;
-* OPT keeps *no* cross-set state at all, so the batched set-parallel chunking
-  of the RRIP engine applies unchanged: within a maximal trace-ordered chunk
-  in which every set appears at most once, a broadcast tag compare classifies
-  every access and the Belady victim ("resident block whose next use lies
-  farthest in the future") is one row-wise ``argmax`` over a
+* OPT keeps *no* cross-set state at all, so the trace batches into
+  set-parallel chunks (:func:`_chunk_end`): within a maximal trace-ordered
+  chunk in which every set appears at most once, a broadcast tag compare
+  classifies every access and the Belady victim ("resident block whose next
+  use lies farthest in the future") is one row-wise ``argmax`` over a
   ``(num_sets, ways)`` array of next-use indices.
 
 Victim ties can only occur between never-referenced-again blocks (finite
@@ -34,11 +34,29 @@ from typing import Optional
 import numpy as np
 
 from repro.fastsim import kernels
-from repro.fastsim.rrip import _chunk_end
 from repro.fastsim.stackdist import occurrence_order, previous_occurrence_indices
 
 #: "Never referenced again" marker, matching the scalar reference.
 NEVER = np.iinfo(np.int64).max
+
+
+def _chunk_end(prev: np.ndarray, start: int, n: int) -> int:
+    """First index past ``start`` whose set already appeared in the chunk.
+
+    ``prev`` holds previous-same-set links; index ``i`` conflicts with the
+    chunk ``[start, i)`` exactly when ``prev[i] >= start``.  Scanned in
+    doubling windows so the total cost over all chunks stays linear.
+    """
+    lo = start + 1
+    width = 64
+    while lo < n:
+        hi = min(n, lo + width)
+        conflict = prev[lo:hi] >= start
+        if conflict.any():
+            return lo + int(conflict.argmax())
+        lo = hi
+        width *= 2
+    return n
 
 
 def next_use_indices(blocks: np.ndarray, occ: Optional[np.ndarray] = None) -> np.ndarray:

@@ -11,10 +11,13 @@ per-set miss counters, and are bit-identical to the staged
 ``FilterStream`` → ``PolicyReplayStream`` pipeline for every supported
 policy family and any ``REPRO_THREADS`` setting.
 
-When the native fused kernel is unavailable (no compiler, ``REPRO_NATIVE=0``,
-or an unsupported family configuration), the pipeline transparently runs the
-staged NumPy engines internally — same inputs, same stats, no caller-side
-branching — so the NumPy-only path stays first-class.
+When the native fused kernel does not cover the configuration, the pipeline
+runs the staged ``FilterStream`` → ``PolicyReplayStream`` engines internally
+— same inputs, same stats, no caller-side branching.  Those staged engines
+are NumPy for the filter and for LRU but native-only for every other family,
+so on a host without any kernels only an LRU pipeline can be built (the
+others raise :class:`~repro.fastsim.kernels.NativeKernelUnavailable`); the
+execution planner never routes there, it picks the scalar reference.
 
 Belady's OPT is not fused (it needs future next-use indices, a two-pass
 offline computation); :func:`fused_supported` returns ``False`` for it.
@@ -171,9 +174,8 @@ class FusedPipeline:
             regions = classifier.regions()
         self._regions = RegionTable.from_regions(tuple(regions))
         if not self.native:
-            # Staged engines behind the same interface: identical statistics,
-            # NumPy-only friendly (the engines themselves pick up the
-            # standalone native kernels when those are available).
+            # Staged engines behind the same interface: identical statistics
+            # (the NumPy filter, plus the family's standalone replay stream).
             self._filter = FilterStream(hierarchy, backend="vector")
             self._replay = PolicyReplayStream(policy, hierarchy.llc)
             self._use_hints = use_hints and classifier is not None
@@ -454,9 +456,9 @@ class MultiFusedPipeline:
     statistics are bit-identical to running each policy alone through the
     staged (or fused single-policy) pipeline.  Without the native filter
     kernel the shared phase runs on the staged vector
-    :class:`~repro.fastsim.filter.FilterStream` — same results, NumPy-only
-    friendly — though the planner prefers the staged materialize-once path
-    in that environment.
+    :class:`~repro.fastsim.filter.FilterStream` — same results — though the
+    planner never picks this route in that environment (and the replay
+    engines of every family but LRU need the kernels anyway).
     """
 
     def __init__(

@@ -25,7 +25,7 @@ module collapses that sprawl into one explainable layer:
     self-explaining (``repro plan explain`` prints them).
 ``RoutePlanner``
     The decision procedure.  The fused-route consumer-count rule, the
-    co-run PIN fallback, the verify-mode dual-run and the NumPy
+    co-run PIN fallback, the verify-mode dual-run and the compiler-less
     degradation logic each live exactly once, here.
 
 The runner imports its engines *through this module* (see the re-exports
@@ -40,7 +40,7 @@ planning decisions are free to chase wall-clock only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache.config import HierarchyConfig
@@ -77,6 +77,9 @@ class EngineCapabilities:
     ``fused_kernel`` names the registry capability
     (:func:`repro.fastsim.kernels.has_capability`) the native single-pass
     route requires; ``None`` means the family has no fused kernel.
+    ``numpy_engine`` says whether the family keeps a NumPy engine for hosts
+    without native kernels; families without one route to the scalar
+    reference there, which beats any batched NumPy formulation of them.
     ``fallbacks`` documents the family's known degradations in prose —
     the planner quotes them verbatim in plan explanations.
     """
@@ -87,16 +90,23 @@ class EngineCapabilities:
     fused_kernel: Optional[str]
     corun_partitioned: bool
     corun_shared: bool
+    numpy_engine: bool = False
     fallbacks: Tuple[str, ...] = ()
 
 
 #: Declarative capability records, one per engine family.  ``scalar`` is the
 #: pseudo-family of policies without an array-form spec (the GRASP ablation
 #: subclasses): the reference simulator covers them on every route.
+#:
+#: Only LRU (stack distances, ~6x over scalar) and OPT keep NumPy engines.
+#: Set-parallel NumPy engines for the other families measured 1.5-8.8x
+#: *slower* than the scalar reference (lj, scale 0.25, PR and SSSP), so
+#: without native kernels those families run the scalar reference.
 ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
     "lru": EngineCapabilities(
         family="lru", vector_replay=True, streaming=True,
         fused_kernel="fused:lru", corun_partitioned=True, corun_shared=True,
+        numpy_engine=True,
     ),
     "rrip": EngineCapabilities(
         family="rrip", vector_replay=True, streaming=True,
@@ -119,8 +129,8 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
         family="hawkeye", vector_replay=True, streaming=True,
         fused_kernel="fused:hawkeye", corun_partitioned=True, corun_shared=True,
         fallbacks=(
-            "a zero-length OPTgen history window (history_factor * ways == 0) "
-            "disables the native kernels; the NumPy engine runs instead",
+            "a zero-length OPTgen history window (history_factor <= 0) has no "
+            "native engine: the scalar reference simulator runs instead",
         ),
     ),
     "leeway": EngineCapabilities(
@@ -130,10 +140,14 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapabilities] = {
     "opt": EngineCapabilities(
         family="opt", vector_replay=True, streaming=True,
         fused_kernel=None, corun_partitioned=False, corun_shared=False,
+        numpy_engine=True,
         fallbacks=(
             "OPT needs future next-use indices: streaming resolves them in a "
             "two-pass reverse sweep over a disk spill",
             "OPT is offline and has no co-run analogue",
+            "native OPT kernel unavailable (no compiler or REPRO_NATIVE=0): "
+            "the offline reference loop runs, 3-4x faster than the NumPy "
+            "engine on a materialized trace",
         ),
     ),
     "scalar": EngineCapabilities(
@@ -183,7 +197,7 @@ ROUTE_CORUN_DELEGATE = "corun-delegate-single"  # K=1 unpartitioned co-run
 #: Kernel tiers a plan can name.
 KERNEL_NATIVE_FUSED = "native-fused"  # one C call per chunk, threaded filter
 KERNEL_NATIVE = "native"              # per-family compiled replay kernels
-KERNEL_NUMPY = "numpy"                # batched NumPy engines
+KERNEL_NUMPY = "numpy"                # NumPy engines (LRU, OPT, filter)
 KERNEL_PYTHON = "python"              # per-access reference simulator
 
 
@@ -342,17 +356,33 @@ class RoutePlanner:
             return family
         return "scalar"
 
-    def _vector_kernel(self, request: SimRequest, policy) -> str:
-        """Kernel tier of the staged vector engines for this policy."""
+    @staticmethod
+    def _vector_kernel(request: SimRequest) -> str:
+        """Kernel tier of the staged vector engines."""
+        return KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY
+
+    @staticmethod
+    def _scalar_fallback(request: SimRequest, policy) -> Optional[str]:
+        """Why ``policy``'s fast engine cannot run here, or ``None`` if it can.
+
+        Policies without an array-form spec have no fast engine at all,
+        families without a NumPy engine need the native kernels, and a
+        zero-length Hawkeye history window has no native engine either.
+        """
+        caps = capabilities_for(policy)
+        if not caps.vector_replay:
+            return caps.fallbacks[0]
+        if caps.numpy_engine:
+            return None
+        if caps.family == "hawkeye" and hawkeye_spec(policy).history_factor <= 0:
+            return caps.fallbacks[0]
         if not request.native_available():
-            return KERNEL_NUMPY
-        if (
-            _family(policy) == "hawkeye"
-            and request.hierarchy is not None
-            and hawkeye_spec(policy).history_factor * request.hierarchy.llc.ways <= 0
-        ):
-            return KERNEL_NUMPY
-        return KERNEL_NATIVE
+            return (
+                f"native {caps.family} kernel unavailable (no compiler or "
+                "REPRO_NATIVE=0): the scalar reference runs, faster than any "
+                "NumPy engine for this family"
+            )
+        return None
 
     def _effective_threads(self, request: SimRequest) -> int:
         from repro.fastsim.pipeline import effective_threads
@@ -367,14 +397,14 @@ class RoutePlanner:
     def _plan_single(self, request: SimRequest, mode: str) -> ExecutionPlan:
         policy = request.policy
         fallbacks = []
-        caps = capabilities_for(policy)
         engine = self._engine_name(policy)
 
         if mode == SCALAR:
             fallbacks.append("backend=scalar requested: reference simulator")
             return self._scalar_plan(request, mode, engine="scalar", fallbacks=fallbacks)
-        if not caps.vector_replay:
-            fallbacks.extend(caps.fallbacks)
+        reason = self._scalar_fallback(request, policy)
+        if reason is not None:
+            fallbacks.append(reason)
             return self._scalar_plan(request, mode, engine="scalar", fallbacks=fallbacks)
 
         verify = mode == VERIFY
@@ -411,7 +441,7 @@ class RoutePlanner:
             stage=request.stage,
             scheme=request.scheme,
             engine=engine,
-            kernel=self._vector_kernel(request, policy),
+            kernel=self._vector_kernel(request),
             backend=mode,
             verify=verify,
             fallbacks=tuple(fallbacks),
@@ -438,7 +468,7 @@ class RoutePlanner:
                 reasons.append(
                     f"fused kernel {caps.fused_kernel!r} unavailable "
                     "(no compiler, REPRO_NATIVE=0, or unsupported configuration): "
-                    "staged NumPy engines run instead"
+                    "the staged engines run instead"
                 )
             else:
                 reasons.extend(caps.fallbacks)
@@ -493,8 +523,15 @@ class RoutePlanner:
         caps = ENGINE_CAPABILITIES["opt"]
         fallbacks = []
         streaming = request.stage == STAGE_STREAMING
-        if mode == SCALAR:
-            fallbacks.append("backend=scalar requested: offline reference OPT loop")
+        native = request.native_available()
+        # Without native kernels a one-shot OPT runs the offline reference,
+        # which beats the NumPy engine; streaming keeps the NumPy two-pass
+        # route, since the reference would materialize the whole stream.
+        if mode == SCALAR or (not native and not streaming):
+            if mode == SCALAR:
+                fallbacks.append("backend=scalar requested: offline reference OPT loop")
+            else:
+                fallbacks.append(caps.fallbacks[2])
             if streaming:
                 fallbacks.append(
                     "the offline reference is one-shot: the filtered stream is "
@@ -518,7 +555,7 @@ class RoutePlanner:
             )
         if streaming:
             fallbacks.append(caps.fallbacks[0])
-        kernel = KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY
+        kernel = KERNEL_NATIVE if native else KERNEL_NUMPY
         return ExecutionPlan(
             route=ROUTE_OPT_TWO_PASS if streaming else ROUTE_OPT_VECTOR,
             stage=request.stage,
@@ -568,16 +605,31 @@ class RoutePlanner:
             "path materializes the filtered trace once and replays each scheme "
             "from it"
         )
+        if mode == SCALAR:
+            kernel = KERNEL_PYTHON
+        elif request.native_available():
+            kernel = KERNEL_NATIVE
+        else:
+            # The slowest member decides the label: NumPy only when every
+            # scheme keeps a NumPy engine here.
+            numpy_members = bool(request.policies) and all(
+                capabilities_for(policy).numpy_engine
+                and (type(policy) is not BeladyOptimal or request.stage == STAGE_STREAMING)
+                for policy in request.policies
+            )
+            kernel = KERNEL_NUMPY if numpy_members else KERNEL_PYTHON
+            if not numpy_members:
+                fallbacks.append(
+                    "native kernels unavailable (no compiler or REPRO_NATIVE=0): "
+                    "schemes without a NumPy engine replay through the scalar "
+                    "reference"
+                )
         return ExecutionPlan(
             route=ROUTE_VECTOR if mode != SCALAR else ROUTE_SCALAR,
             stage=request.stage,
             scheme="+".join(dict.fromkeys(request.schemes)),
             engine="staged",
-            kernel=(
-                KERNEL_PYTHON
-                if mode == SCALAR
-                else (KERNEL_NATIVE if request.native_available() else KERNEL_NUMPY)
-            ),
+            kernel=kernel,
             backend=mode,
             verify=mode == VERIFY,
             fallbacks=tuple(fallbacks),
@@ -626,17 +678,24 @@ class RoutePlanner:
         if self._is_opt(request):
             raise ValueError("OPT is offline and has no co-run analogue")
         fallbacks = []
+        scalar_reason = self._scalar_fallback(request, policy)
         if request.num_streams == 1 and request.partition is None:
             fallbacks.append(
                 "degenerate co-run (one stream, no partition): delegates to the "
                 "single-app streaming path and its memo entries"
             )
+            engine, kernel = self._engine_name(policy), KERNEL_PYTHON
+            if mode != SCALAR and scalar_reason is not None:
+                fallbacks.append(scalar_reason)
+                engine = "scalar"
+            elif mode != SCALAR:
+                kernel = self._vector_kernel(request)
             return ExecutionPlan(
                 route=ROUTE_CORUN_DELEGATE,
                 stage=request.stage,
                 scheme=request.scheme,
-                engine=self._engine_name(policy),
-                kernel=self._vector_kernel(request, policy) if mode != SCALAR else KERNEL_PYTHON,
+                engine=engine,
+                kernel=kernel,
                 backend=mode,
                 verify=mode == VERIFY,
                 fallbacks=tuple(fallbacks),
@@ -644,7 +703,11 @@ class RoutePlanner:
             )
         caps = capabilities_for(policy)
         verify = mode == VERIFY
-        if mode != SCALAR and supports_vector_corun(policy, request.partition):
+        if (
+            mode != SCALAR
+            and scalar_reason is None
+            and supports_vector_corun(policy, request.partition)
+        ):
             if verify:
                 fallbacks.append(
                     "backend=verify: vector co-run runs with a scalar dual-run "
@@ -655,7 +718,7 @@ class RoutePlanner:
                 stage=request.stage,
                 scheme=request.scheme,
                 engine=self._engine_name(policy),
-                kernel=self._vector_kernel(request, policy),
+                kernel=self._vector_kernel(request),
                 backend=mode,
                 verify=verify,
                 fallbacks=tuple(fallbacks),
@@ -663,8 +726,8 @@ class RoutePlanner:
             )
         if mode == SCALAR:
             fallbacks.append("backend=scalar requested: reference simulator")
-        elif not caps.vector_replay:
-            fallbacks.extend(caps.fallbacks)
+        elif scalar_reason is not None:
+            fallbacks.append(scalar_reason)
         elif request.partition is None and caps.family == "pin":
             fallbacks.extend(ENGINE_CAPABILITIES["pin"].fallbacks)
         return ExecutionPlan(

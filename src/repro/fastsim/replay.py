@@ -1,16 +1,18 @@
 """Vectorized LLC replay dispatch for the schemes the fast engines cover.
 
 Every replacement scheme of the paper's evaluation has an exact fast engine:
-the stack-distance engine for plain LRU (:mod:`repro.fastsim.stackdist`), the
-batched RRIP-family engine for SRRIP/BRRIP/DRRIP/GRASP
-(:mod:`repro.fastsim.rrip`), and the PR 4 engines for SHiP-MEM
-(:mod:`repro.fastsim.ship`), Hawkeye (:mod:`repro.fastsim.hawkeye`), Leeway
-(:mod:`repro.fastsim.leeway`), the PIN-X pinning configurations
-(:mod:`repro.fastsim.pin`) and Belady's OPT (:mod:`repro.fastsim.opt`).
-Only the GRASP ablation variants — subclasses that override hooks the array
-specs cannot express — remain scalar-only.
-:func:`supports_vector_replay` is the dispatch predicate used by
-:func:`repro.experiments.runner.simulate_llc_policy`.
+the stack-distance engine for plain LRU (:mod:`repro.fastsim.stackdist`,
+NumPy with an optional native kernel), the native RRIP-family engine for
+SRRIP/BRRIP/DRRIP/GRASP (:mod:`repro.fastsim.rrip`), the native engines for
+SHiP-MEM (:mod:`repro.fastsim.ship`), Hawkeye (:mod:`repro.fastsim.hawkeye`),
+Leeway (:mod:`repro.fastsim.leeway`) and the PIN-X pinning configurations
+(:mod:`repro.fastsim.pin`), and Belady's OPT (:mod:`repro.fastsim.opt`,
+NumPy with an optional native kernel).  Only the GRASP ablation variants —
+subclasses that override hooks the array specs cannot express — remain
+scalar-only.  :func:`supports_vector_replay` says which policies have an
+engine at all; whether it can run on this host (the native-only families
+need the kernel library) is the execution planner's call
+(:mod:`repro.fastsim.plan`).
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ class PolicyReplayStream:
     replay is bit-identical to the one-shot call on the concatenation,
     including the final policy state, which is exposed via the underlying
     ``engine`` attribute (an ``*Stream`` object carrying PSEL, SHCT,
-    predictor tables, pinned populations, ...).
+    predictor tables, pinned populations, ...).  Policies outside LRU need
+    the native kernel library: without it construction raises
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable`.
     """
 
-    def __init__(self, policy, llc_config: CacheConfig, use_native=None) -> None:
+    def __init__(self, policy, llc_config: CacheConfig) -> None:
         if type(policy) is BeladyOptimal:
             raise ValueError(
                 "BeladyOptimal has no online stream; use simulate_opt_streaming"
@@ -137,32 +141,24 @@ class PolicyReplayStream:
         self._kind = None
         if type(policy) is LRUPolicy:
             self._kind = "lru"
-            self.engine = LRUStream(num_sets, ways, use_native=use_native)
+            self.engine = LRUStream(num_sets, ways)
         else:
             spec = rrip_spec(policy)
             if spec is not None:
                 self._kind = "rrip"
-                self.engine = RRIPStream(num_sets, ways, spec, use_native=use_native)
+                self.engine = RRIPStream(num_sets, ways, spec)
             elif pin_spec(policy) is not None:
                 self._kind = "pin"
-                self.engine = PinStream(
-                    num_sets, ways, pin_spec(policy), use_native=use_native
-                )
+                self.engine = PinStream(num_sets, ways, pin_spec(policy))
             elif ship_spec(policy) is not None:
                 self._kind = "ship"
-                self.engine = ShipStream(
-                    num_sets, ways, ship_spec(policy), use_native=use_native
-                )
+                self.engine = ShipStream(num_sets, ways, ship_spec(policy))
             elif hawkeye_spec(policy) is not None:
                 self._kind = "hawkeye"
-                self.engine = HawkeyeStream(
-                    num_sets, ways, hawkeye_spec(policy), use_native=use_native
-                )
+                self.engine = HawkeyeStream(num_sets, ways, hawkeye_spec(policy))
             elif leeway_spec(policy) is not None:
                 self._kind = "leeway"
-                self.engine = LeewayStream(
-                    num_sets, ways, leeway_spec(policy), use_native=use_native
-                )
+                self.engine = LeewayStream(num_sets, ways, leeway_spec(policy))
             else:
                 raise ValueError(
                     f"policy {policy!r} has no vectorized replay engine; "
@@ -230,7 +226,9 @@ def vector_policy_replay(
     simulator with ``use_hints=False``); GRASP's tables and PIN's pinning
     decisions consult it.  ``pcs`` is the synthetic program-counter stream
     the PC-indexed schemes (Hawkeye, Leeway) train on (``None`` replays with
-    a constant PC, like the scalar simulator's default).
+    a constant PC, like the scalar simulator's default).  Policies outside
+    LRU and OPT need the native kernel library and raise
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
     """
     if type(policy) is LRUPolicy:
         return vector_lru_replay(block_addresses, llc_config, regions=regions)

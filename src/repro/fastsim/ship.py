@@ -1,29 +1,20 @@
-"""Exact vectorized replay for SHiP-MEM (memory-region signature SHiP).
+"""Exact native replay for SHiP-MEM (memory-region signature SHiP).
 
 :class:`~repro.cache.policies.ship.ShipMemPolicy` is SRRIP plus one global
 learning structure: the Signature History Counter Table (SHCT), keyed by the
-block's memory region.  Per-set state (tags, RRPVs, per-line signature and
-reused bits) batches exactly like the RRIP engine — within a maximal
-trace-ordered chunk every set appears at most once, so the tag compare, the
-hit promotion (RRPV 0 for every hint) and the age-until-saturated victim
-search are whole-chunk array operations.
+block's memory region.  A first reuse trains the line's signature up, an
+eviction of a never-reused line trains it down, and every insertion reads
+the incoming block's signature to pick between long (``max-1``) and distant
+(``max``) re-reference insertion.  The compiled kernel
+(:mod:`repro.fastsim.kernels.ship`) replays all of that in trace order over
+dense signature ids — densified with one ``np.unique`` for one-shot replays
+and a grow-only id map for streams — so the SHCT is a flat array rather
+than a dict (the paper's table is unbounded, so no aliasing is introduced).
 
-The SHCT itself is shared *across* sets, so its reads and saturating updates
-must advance in trace order: a first reuse trains the line's signature up, an
-eviction of a never-reused line trains it down, and every insertion reads the
-incoming block's signature to pick between long (``max-1``) and distant
-(``max``) re-reference insertion.  Those events are sparse relative to the
-trace (misses plus first-reuse hits only) and all their inputs — victim ways,
-line signatures, reused bits — are known from the batched phase, so the
-engine walks just the chunk's event positions in order, exactly like the
-RRIP engine walks leader-set PSEL updates.  Signatures are densified with one
-``np.unique`` so the SHCT is a flat array rather than a dict (the paper's
-table is unbounded, so no aliasing is introduced).
-
-:func:`ship_replay` dispatches to the compiled kernel
-(:func:`repro.fastsim.kernels.ship_replay`) when one is available and to
-:func:`numpy_ship_replay` otherwise; both are exact, including the final
-SHCT contents.
+:func:`ship_replay` and :class:`ShipStream` are exact, including the final
+SHCT contents.  Both need the native kernel library and raise
+:class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; the
+execution planner then routes SHiP-MEM to the scalar reference simulator.
 """
 
 from __future__ import annotations
@@ -36,12 +27,7 @@ import numpy as np
 from repro.cache.policies.base import ReplacementPolicy
 from repro.cache.policies.ship import ShipMemPolicy
 from repro.fastsim import kernels
-from repro.fastsim.rrip import _chunk_end
-from repro.fastsim.stackdist import (
-    DenseIdMap,
-    grow_to,
-    previous_occurrence_indices,
-)
+from repro.fastsim.stackdist import DenseIdMap, grow_to
 
 #: SHCT value assumed for a signature that was never trained (weakly reused).
 _UNSEEN = 1
@@ -112,21 +98,15 @@ class ShipStream:
     grow-only first-appearance id map replaces the one-shot engine's whole-
     trace ``np.unique``, which a stream cannot compute — and the SHCT array
     grows with the id space (label-invariant, so outcomes are unchanged).
+    Building a stream without the native kernel raises
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable`.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        spec: ShipSpec,
-        use_native: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int, spec: ShipSpec) -> None:
+        kernels.require("replay:ship", "ShipStream")
         self.num_sets = num_sets
         self.ways = ways
         self.spec = spec
-        self._use_native = (
-            kernels.available() if use_native is None else bool(use_native)
-        )
         self.tags = np.full((num_sets, ways), -1, dtype=np.int64)
         self.rrpv = np.full((num_sets, ways), spec.max_rrpv, dtype=np.int32)
         self.line_sig = np.zeros((num_sets, ways), dtype=np.int64)
@@ -164,143 +144,22 @@ class ShipStream:
             return np.zeros(0, dtype=bool)
         sig_ids = self._sig_ids.map(blocks >> self.spec.region_shift)
         self._shct = grow_to(self._shct, len(self._sig_ids), _UNSEEN)
-        hits = None
-        if self._use_native:
-            hits = kernels.ship_feed(
-                blocks,
-                sig_ids,
-                self.num_sets,
-                self.ways,
-                self.spec.max_rrpv,
-                self.spec.counter_max,
-                self.tags,
-                self.rrpv,
-                self.line_sig,
-                self.reused,
-                self._shct,
-                self.misses_per_set,
-            )
-        if hits is None:
-            hits = self._numpy_feed(blocks, sig_ids)
+        hits = kernels.ship_feed(
+            blocks,
+            sig_ids,
+            self.num_sets,
+            self.ways,
+            self.spec.max_rrpv,
+            self.spec.counter_max,
+            self.tags,
+            self.rrpv,
+            self.line_sig,
+            self.reused,
+            self._shct,
+            self.misses_per_set,
+        )
         self.hit_count += int(hits.sum())
         return hits
-
-    def _numpy_feed(self, blocks: np.ndarray, sig_ids: np.ndarray) -> np.ndarray:
-        num_sets = self.num_sets
-        max_rrpv = self.spec.max_rrpv
-        counter_max = self.spec.counter_max
-        tags, rrpv, line_sig = self.tags, self.rrpv, self.line_sig
-        reused = self.reused.view(bool)
-        shct = self._shct
-        n = int(blocks.shape[0])
-        hits = np.zeros(n, dtype=bool)
-        set_ids = blocks & (num_sets - 1)
-        prev = previous_occurrence_indices(set_ids)
-
-        position = 0
-        while position < n:
-            end = _chunk_end(prev, position, n)
-            sets = set_ids[position:end]
-            chunk_blocks = blocks[position:end]
-            chunk_sigs = sig_ids[position:end]
-
-            match = tags[sets] == chunk_blocks[:, None]
-            is_hit = match.any(axis=1)
-            hits[position:end] = is_hit
-
-            # Batched per-set phase: promotions, victim selection, reused
-            # bits.  SHCT reads/updates are deferred to the trace-order walk
-            # below.
-            train_up = np.empty(0, dtype=np.int64)
-            train_up_pos = np.empty(0, dtype=np.int64)
-            if is_hit.any():
-                hit_sets = sets[is_hit]
-                hit_ways = match[is_hit].argmax(axis=1)
-                rrpv[hit_sets, hit_ways] = 0
-                first_reuse = ~reused[hit_sets, hit_ways]
-                reused[hit_sets[first_reuse], hit_ways[first_reuse]] = True
-                train_up = line_sig[hit_sets[first_reuse], hit_ways[first_reuse]]
-                train_up_pos = np.flatnonzero(is_hit)[first_reuse]
-
-            miss_pos = np.empty(0, dtype=np.int64)
-            train_down = np.empty(0, dtype=np.int64)
-            ins_sigs = np.empty(0, dtype=np.int64)
-            miss_sets = victim_way = None
-            if not is_hit.all():
-                miss = ~is_hit
-                miss_pos = np.flatnonzero(miss)
-                miss_sets = sets[miss]
-                empty = tags[miss_sets] == -1
-                has_empty = empty.any(axis=1)
-                victim_way = np.empty(miss_sets.shape[0], dtype=np.int64)
-                victim_way[has_empty] = empty[has_empty].argmax(axis=1)
-                full_sets = miss_sets[~has_empty]
-                if full_sets.size:
-                    full_rrpvs = rrpv[full_sets]
-                    full_rrpvs += (max_rrpv - full_rrpvs.max(axis=1))[:, None]
-                    victim_way[~has_empty] = (full_rrpvs == max_rrpv).argmax(axis=1)
-                    rrpv[full_sets] = full_rrpvs
-                # A capacity eviction of a never-reused line trains its
-                # signature down; -1 marks fills (no eviction, nothing to
-                # train).
-                victim_sig = line_sig[miss_sets, victim_way]
-                victim_reused = reused[miss_sets, victim_way]
-                train_down = np.where(~has_empty & ~victim_reused, victim_sig, -1)
-                ins_sigs = chunk_sigs[miss]
-                # State writes independent of the SHCT can land now; the
-                # insertion RRPVs are filled in by the walk below.
-                tags[miss_sets, victim_way] = chunk_blocks[miss]
-                line_sig[miss_sets, victim_way] = ins_sigs
-                reused[miss_sets, victim_way] = False
-
-            # Trace-order SHCT walk over the chunk's sparse events:
-            # first-reuse hits train up, evictions train down, insertions
-            # read.
-            ins_values = np.empty(ins_sigs.shape[0], dtype=np.int32)
-            up_iter = iter(zip(train_up_pos.tolist(), train_up.tolist()))
-            next_up = next(up_iter, None)
-            for index, (pos, down_sig, ins_sig) in enumerate(
-                zip(miss_pos.tolist(), train_down.tolist(), ins_sigs.tolist())
-            ):
-                while next_up is not None and next_up[0] < pos:
-                    up_sig = next_up[1]
-                    if shct[up_sig] < counter_max:
-                        shct[up_sig] += 1
-                    next_up = next(up_iter, None)
-                if down_sig >= 0 and shct[down_sig] > 0:
-                    shct[down_sig] -= 1
-                ins_values[index] = max_rrpv if shct[ins_sig] == 0 else max_rrpv - 1
-            while next_up is not None:
-                up_sig = next_up[1]
-                if shct[up_sig] < counter_max:
-                    shct[up_sig] += 1
-                next_up = next(up_iter, None)
-            if miss_pos.size:
-                rrpv[miss_sets, victim_way] = ins_values
-            position = end
-
-        self.misses_per_set += np.bincount(set_ids[~hits], minlength=num_sets)
-        return hits
-
-
-def numpy_ship_replay(
-    block_addresses: np.ndarray, num_sets: int, ways: int, spec: ShipSpec
-) -> ShipReplay:
-    """Pure-NumPy batched replay (the portable engine behind :func:`ship_replay`).
-
-    Exact with respect to the scalar policy: identical per-access hit masks,
-    per-set miss counts and final SHCT contents.  One :class:`ShipStream`
-    feed over the whole stream — chunked feeds of the same stream are
-    bit-identical by construction.
-    """
-    stream = ShipStream(num_sets, ways, spec, use_native=False)
-    hits = stream.feed(block_addresses)
-    return ShipReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        shct=stream.shct,
-    )
 
 
 def ship_replay(
@@ -309,10 +168,11 @@ def ship_replay(
     """Replay a block stream through a ``num_sets`` x ``ways`` SHiP-MEM cache.
 
     ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Dispatches to
-    the compiled kernel (:mod:`repro.fastsim.kernels`) when available and to
-    :func:`numpy_ship_replay` otherwise; both are exact.
+    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
+    compiled kernel (:mod:`repro.fastsim.kernels`); raises
+    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
     """
+    kernels.require("replay:ship", "ship_replay")
     blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
     signatures, sig_ids = _dense_signatures(blocks, spec.region_shift)
     native = kernels.ship_replay(
@@ -325,12 +185,10 @@ def ship_replay(
         spec.counter_max,
         _UNSEEN,
     )
-    if native is not None:
-        native_hits, misses_per_set, shct = native
-        final = {
-            int(sig): int(value) for sig, value in zip(signatures.tolist(), shct.tolist())
-        }
-        return ShipReplay(
-            hits=native_hits, misses_per_set=misses_per_set, ways=ways, shct=final
-        )
-    return numpy_ship_replay(blocks, num_sets, ways, spec)
+    native_hits, misses_per_set, shct = native
+    final = {
+        int(sig): int(value) for sig, value in zip(signatures.tolist(), shct.tolist())
+    }
+    return ShipReplay(
+        hits=native_hits, misses_per_set=misses_per_set, ways=ways, shct=final
+    )

@@ -1,14 +1,17 @@
-"""Equivalence tests for the PR 4 vectorized LLC policy engines.
+"""Equivalence tests for the LLC policy engines beyond LRU and RRIP.
 
 Property-style, mirroring ``tests/test_fastsim_rrip.py``: randomized block
 streams x reuse-hint streams x PC streams x cache geometries must produce
-byte-identical outcomes on the scalar policies and both fast engines (NumPy
-and, when a compiler is present, the compiled kernel) for SHiP-MEM, Hawkeye,
-Leeway, the PIN-X pinning configurations and Belady's OPT — per-access hit
+byte-identical outcomes on the scalar policies and both native entry points
+(the one-shot kernels and the resumable streams fed in seeded random
+chunks) for SHiP-MEM, Hawkeye, Leeway and the PIN-X pinning configurations,
+and on the NumPy and native engines for Belady's OPT — per-access hit
 masks, full hit/miss/eviction/bypass statistics, and the global learning
-state (SHCT, PC predictors, PSEL).  Also regression-tests the scalar-policy
-bugs fixed in this PR (PIN's skipped PSEL updates and stale pinned RRPVs,
-SHiP's silently truncated region sizes, Leeway's quadratic victim scan).
+state (SHCT, PC predictors, PSEL).  The SHiP/Hawkeye/Leeway/PIN engines are
+native-only, so those cases skip on hosts without a C compiler.  Also
+regression-tests scalar-policy bugs (PIN's skipped PSEL updates and stale
+pinned RRPVs, SHiP's silently truncated region sizes, Leeway's quadratic
+victim scan).
 """
 
 import numpy as np
@@ -35,14 +38,18 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
+    HawkeyeReplay,
+    HawkeyeStream,
+    LeewayReplay,
+    LeewayStream,
+    PinReplay,
+    PinStream,
+    ShipReplay,
+    ShipStream,
     kernels,
     hawkeye_spec,
     leeway_spec,
-    numpy_hawkeye_replay,
-    numpy_leeway_replay,
     numpy_opt_replay,
-    numpy_pin_replay,
-    numpy_ship_replay,
     opt_replay,
     pin_spec,
     ship_spec,
@@ -111,8 +118,62 @@ def _vector_replay(engine, policy, blocks, hints, pcs, num_sets, ways):
     return engine["pin"](blocks, hints, num_sets, ways, pin_spec(policy))
 
 
-#: Engine families: the public dispatchers (compiled kernel when available)
-#: and the portable NumPy engines.
+needs_native = pytest.mark.skipif(
+    not kernels.available(),
+    reason="the SHiP/Hawkeye/Leeway/PIN engines are native-only: no C compiler",
+)
+
+
+def _feed_in_random_chunks(stream, columns):
+    """Feed aligned columns to ``stream`` in chunks seeded by their length."""
+    n = int(columns[0].shape[0])
+    rng = np.random.default_rng(n)
+    pieces = []
+    start = 0
+    while start < n:
+        end = start + int(rng.integers(1, 97))
+        pieces.append(stream.feed(*(column[start:end] for column in columns)))
+        start = end
+    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
+
+
+def _chunked_ship(blocks, num_sets, ways, spec):
+    stream = ShipStream(num_sets, ways, spec)
+    hits = _feed_in_random_chunks(stream, [np.asarray(blocks)])
+    return ShipReplay(hits, stream.misses_per_set, ways, stream.shct)
+
+
+def _chunked_hawkeye(blocks, pcs, num_sets, ways, spec):
+    stream = HawkeyeStream(num_sets, ways, spec)
+    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)])
+    return HawkeyeReplay(hits, stream.misses_per_set, ways, stream.predictor)
+
+
+def _chunked_leeway(blocks, pcs, num_sets, ways, spec):
+    stream = LeewayStream(num_sets, ways, spec)
+    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)])
+    return LeewayReplay(
+        hits, stream.misses_per_set, ways, stream.predicted_live_distances
+    )
+
+
+def _chunked_pin(blocks, hints, num_sets, ways, spec):
+    stream = PinStream(num_sets, ways, spec)
+    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(hints)])
+    return PinReplay(
+        hits=hits,
+        misses_per_set=stream.misses_per_set,
+        bypasses_per_set=stream.bypasses_per_set,
+        ways=ways,
+        psel=stream.psel,
+        insert_count=stream.insert_count,
+    )
+
+
+#: Engine families: the one-shot native dispatchers, and the resumable
+#: native streams fed in seeded random chunks.  The second family keeps the
+#: ``numpy`` key of the NumPy engines these cases exercised before they were
+#: deleted, so each case keeps its identity.
 ENGINES = {
     "dispatch": {
         "ship": dispatch_ship_replay,
@@ -121,10 +182,10 @@ ENGINES = {
         "pin": dispatch_pin_replay,
     },
     "numpy": {
-        "ship": numpy_ship_replay,
-        "hawkeye": numpy_hawkeye_replay,
-        "leeway": numpy_leeway_replay,
-        "pin": numpy_pin_replay,
+        "ship": _chunked_ship,
+        "hawkeye": _chunked_hawkeye,
+        "leeway": _chunked_leeway,
+        "pin": _chunked_pin,
     },
 }
 
@@ -286,6 +347,7 @@ class TestSpecExtraction:
 
 
 class TestPolicyReplayEquivalence:
+    @needs_native
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
@@ -305,6 +367,7 @@ class TestPolicyReplayEquivalence:
             )
             _assert_replay_matches(replay, policy, expected_hits, expected_stats)
 
+    @needs_native
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     def test_pin_100_bypass_accounting(self, engine_name):
         # All-High-Reuse traffic under PIN-100 pins every way of every
@@ -328,6 +391,7 @@ class TestPolicyReplayEquivalence:
         # Bypasses are misses that never insert: eviction counts must agree.
         assert replay.evictions == expected_stats.evictions == 0
 
+    @needs_native
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     @pytest.mark.parametrize("sample_period", [1, 4, 1024])
     def test_hawkeye_sampled_and_unsampled_sets(self, engine_name, sample_period):
@@ -361,9 +425,9 @@ class TestPolicyReplayEquivalence:
             assert replay.miss_count == expected.misses
             assert replay.evictions == expected.evictions
 
+    @needs_native
     def test_native_and_numpy_engines_agree(self):
-        if not kernels.available():
-            pytest.skip("no C compiler available for the native kernel")
+        # One-shot kernels against the chunk-fed streams on long streams.
         rng = np.random.default_rng(77)
         for policy_name in sorted(POLICIES):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
@@ -373,14 +437,15 @@ class TestPolicyReplayEquivalence:
             native = _vector_replay(
                 ENGINES["dispatch"], policy, blocks, hints, pcs, 16, 4
             )
-            portable = _vector_replay(
+            streamed = _vector_replay(
                 ENGINES["numpy"], policy, blocks, hints, pcs, 16, 4
             )
-            assert np.array_equal(native.hits, portable.hits)
-            assert np.array_equal(native.misses_per_set, portable.misses_per_set)
+            assert np.array_equal(native.hits, streamed.hits)
+            assert np.array_equal(native.misses_per_set, streamed.misses_per_set)
 
 
 class TestVectorPolicyReplay:
+    @needs_native
     @pytest.mark.parametrize("policy_name", ["ship", "hawkeye", "leeway", "pin-75"])
     def test_region_breakdown_matches_scalar(self, policy_name):
         rng = np.random.default_rng(3)
@@ -401,6 +466,7 @@ class TestVectorPolicyReplay:
         assert cache.stats.region_accesses == stats.region_accesses
         assert cache.stats.region_misses == stats.region_misses
 
+    @needs_native
     def test_pin_100_bypasses_surface_in_cache_stats(self):
         rng = np.random.default_rng(5)
         blocks = rng.integers(0, 256, size=800)

@@ -1,11 +1,13 @@
-"""Equivalence tests for the vectorized RRIP-family replay engine.
+"""Equivalence tests for the native RRIP-family replay engine.
 
 Property-style: randomized block streams x randomized reuse-hint streams x
 randomized cache geometries must produce byte-identical outcomes on the
-scalar policies and both fast engines (NumPy and, when a compiler is
-present, the compiled kernel) — per-access hit masks, full
+scalar policies and both native entry points (the one-shot kernel and the
+resumable stream fed in seeded random chunks) — per-access hit masks, full
 hit/miss/eviction statistics, and the global set-dueling state (PSEL and
-the bimodal insertion counter).
+the bimodal insertion counter).  The engine is native-only, so those cases
+skip on hosts without a C compiler; the end-to-end dispatch cases run
+everywhere (the planner routes to the scalar reference there).
 """
 
 import numpy as np
@@ -33,8 +35,9 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
+    RRIPReplay,
+    RRIPStream,
     kernels,
-    numpy_rrip_replay,
     rrip_replay,
     rrip_spec,
     supports_vector_replay,
@@ -68,6 +71,42 @@ def _scalar_reference(policy, blocks, hints, num_sets, ways):
         dtype=bool,
     )
     return hits, cache.stats
+
+
+needs_native = pytest.mark.skipif(
+    not kernels.available(), reason="the RRIP engine is native-only: no C compiler"
+)
+
+
+def chunked_stream_replay(block_addresses, hints, num_sets, ways, spec):
+    """One-shot-shaped replay through :class:`RRIPStream` fed in random chunks.
+
+    Chunk boundaries are drawn from a generator seeded by the stream length,
+    so every case is reproducible; a resumable replay must be bit-identical
+    to the one-shot kernel at any boundaries.
+    """
+    blocks = np.asarray(block_addresses, dtype=np.int64)
+    hint_values = None if hints is None else np.asarray(hints)
+    rng = np.random.default_rng(blocks.shape[0])
+    stream = RRIPStream(num_sets, ways, spec)
+    pieces = []
+    start = 0
+    while start < blocks.shape[0]:
+        end = start + int(rng.integers(1, 97))
+        pieces.append(
+            stream.feed(
+                blocks[start:end],
+                None if hint_values is None else hint_values[start:end],
+            )
+        )
+        start = end
+    return RRIPReplay(
+        hits=np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool),
+        misses_per_set=stream.misses_per_set,
+        ways=ways,
+        psel=stream.psel,
+        insert_count=stream.insert_count,
+    )
 
 
 def _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec):
@@ -133,11 +172,17 @@ class TestSpecExtraction:
         assert grasp.promotion_table == (0, 0, -1, -1)
 
 
+@needs_native
 class TestRRIPReplayEquivalence:
-    # ``rrip_replay`` dispatches to the compiled kernel when one is available;
-    # ``numpy_rrip_replay`` is the portable batched engine.  Both must
-    # reproduce the scalar policies exactly.
-    ENGINES = (rrip_replay, numpy_rrip_replay)
+    # ``rrip_replay`` runs the one-shot kernel; the second engine feeds the
+    # resumable native stream in random chunks.  Both must reproduce the
+    # scalar policies exactly.  The second engine's case id is the name of
+    # the NumPy engine these cases exercised before it was deleted, so each
+    # case keeps its identity.
+    ENGINES = (
+        rrip_replay,
+        pytest.param(chunked_stream_replay, id="numpy_rrip_replay"),
+    )
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -189,22 +234,22 @@ class TestRRIPReplayEquivalence:
         _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec)
 
     def test_native_and_numpy_engines_agree(self):
-        if not kernels.available():
-            pytest.skip("no C compiler available for the native kernel")
+        # One-shot kernel against the chunk-fed stream on long streams.
         rng = np.random.default_rng(77)
         for policy_name in sorted(POLICIES):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2500)))
             hints = rng.integers(0, 4, size=blocks.shape[0])
             spec = rrip_spec(POLICIES[policy_name]())
             native = rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            portable = numpy_rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            assert np.array_equal(native.hits, portable.hits)
-            assert np.array_equal(native.misses_per_set, portable.misses_per_set)
-            assert native.psel == portable.psel
-            assert native.insert_count == portable.insert_count
+            streamed = chunked_stream_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
+            assert np.array_equal(native.hits, streamed.hits)
+            assert np.array_equal(native.misses_per_set, streamed.misses_per_set)
+            assert native.psel == streamed.psel
+            assert native.insert_count == streamed.insert_count
 
 
 class TestVectorPolicyReplay:
+    @needs_native
     def test_region_breakdown_matches_scalar(self):
         rng = np.random.default_rng(3)
         blocks = rng.integers(0, 96, size=900)

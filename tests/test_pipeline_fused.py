@@ -186,10 +186,12 @@ class TestMultiFusedPipeline:
         return multi
 
     def test_matches_scalar_reference(self, trace, classifier, scalar_reference):
-        multi = self._run_multi(trace, classifier, self.NAMES)
+        # Without kernels only LRU keeps a (NumPy) replay engine.
+        names = self.NAMES if kernels.available() else ("lru",)
+        multi = self._run_multi(trace, classifier, names)
         l1, l2 = multi.level_stats()
         assert multi.total_references == len(trace)
-        for name, got in zip(self.NAMES, multi.stats()):
+        for name, got in zip(names, multi.stats()):
             want = scalar_reference(name)
             assert l1 == want.l1_stats
             assert l2 == want.l2_stats
@@ -333,18 +335,20 @@ class TestLazyCompilation:
         assert out.splitlines() == ["False", "True"]
 
     def test_broken_compiler_degrades_to_numpy(self, tmp_path):
-        # End to end under a toolchain that always fails: engines fall back
-        # to NumPy, the fused pipeline falls back to the staged engines, and
-        # results still come out (exercised via one policy replay).
+        # End to end under a toolchain that always fails: the filter and LRU
+        # fall back to NumPy, so an LRU fused pipeline runs on the staged
+        # engines and results still come out; the native-only families
+        # refuse loudly instead of returning wrong results.
         out = _run_subprocess(
             "import numpy as np\n"
             "import repro.fastsim.kernels as k\n"
             "from repro.cache.config import HierarchyConfig\n"
             "from repro.cache.policies import create_policy\n"
-            "from repro.fastsim import FusedPipeline, fused_native_supported\n"
+            "from repro.fastsim import (\n"
+            "    FusedPipeline, NativeKernelUnavailable, fused_native_supported)\n"
             "from repro.trace import Trace\n"
             "hier = HierarchyConfig()\n"
-            "policy = create_policy('grasp')\n"
+            "policy = create_policy('lru')\n"
             "assert not fused_native_supported(policy, hier)\n"
             "assert not k.available()\n"
             "assert k.lookup('lru_replay') is None\n"
@@ -358,6 +362,12 @@ class TestLazyCompilation:
             "assert fused.feed(trace) is None\n"
             "stats = fused.stats()\n"
             "assert stats.llc_stats.hits + stats.llc_stats.misses > 0\n"
+            "try:\n"
+            "    FusedPipeline(hier, create_policy('grasp'))\n"
+            "except NativeKernelUnavailable as error:\n"
+            "    assert 'REPRO_CC' in str(error)\n"
+            "else:\n"
+            "    raise AssertionError('GRASP built without kernels')\n"
             "print('ok')\n",
             {"REPRO_CC": "/usr/bin/false", "XDG_CACHE_HOME": str(tmp_path)},
         )

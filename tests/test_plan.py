@@ -12,6 +12,7 @@ import importlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cache.partition import WayPartition
@@ -121,10 +122,33 @@ class TestSinglePolicyRouting:
         assert plan.fallbacks == ()
 
     def test_no_kernels_degrades_to_numpy_with_reason(self):
-        plan = PLANNER.plan(_request(stage=STAGE_ROI, native=False))
+        # LRU keeps its NumPy stack-distance engine without native kernels.
+        plan = PLANNER.plan(_request("LRU", stage=STAGE_ROI, native=False))
         assert plan.route == ROUTE_VECTOR
         assert plan.kernel == "numpy"
         assert any("unavailable" in reason for reason in plan.fallbacks)
+
+    @pytest.mark.parametrize("scheme", ["RRIP", "GRASP", "PIN-50", "SHiP-MEM", "Hawkeye", "Leeway"])
+    def test_no_kernels_routes_native_only_families_to_scalar(self, scheme):
+        plan = PLANNER.plan(_request(scheme, stage=STAGE_ROI, native=False))
+        assert (plan.route, plan.engine, plan.kernel) == (ROUTE_SCALAR, "scalar", "python")
+        assert any(
+            "kernel unavailable" in reason and "scalar reference" in reason
+            for reason in plan.fallbacks
+        )
+
+    def test_zero_history_hawkeye_is_scalar_even_with_kernels(self):
+        from repro.cache.policies.hawkeye import HawkeyePolicy
+
+        request = SimRequest(
+            schemes=("Hawkeye",),
+            policies=(HawkeyePolicy(history_factor=0),),
+            stage=STAGE_ONESHOT,
+            native_override=True,
+        )
+        plan = PLANNER.plan(request)
+        assert (plan.route, plan.kernel) == (ROUTE_SCALAR, "python")
+        assert plan.fallbacks == ENGINE_CAPABILITIES["hawkeye"].fallbacks
 
     def test_shared_roi_trace_skips_fused(self):
         plan = PLANNER.plan(_request(stage=STAGE_ROI, consumers=2))
@@ -234,7 +258,13 @@ class TestMultiSchemeRouting:
     def test_ablation_member_disables_shared_pass(self):
         plan = PLANNER.plan(self._multi(("RRIP", "RRIP+Hints")))
         assert plan.route == ROUTE_VECTOR
-        assert any("'RRIP+Hints'" in reason for reason in plan.fallbacks)
+        if kernels.has_capability("fused:filter"):
+            assert any("'RRIP+Hints'" in reason for reason in plan.fallbacks)
+        else:
+            # The missing filter kernel rules the shared pass out first, so
+            # the ablation member is never examined.
+            assert any("fused filter kernel unavailable" in r for r in plan.fallbacks)
+            assert plan.kernel == "python"
 
     def test_cached_trace_disables_shared_pass(self):
         plan = PLANNER.plan(self._multi(("RRIP", "GRASP"), have_trace_cache=True))
@@ -252,7 +282,7 @@ GOLDEN_PLANS = [
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True),
      (ROUTE_FUSED, "rrip", "native-fused")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=False),
-     (ROUTE_VECTOR, "rrip", "numpy")),
+     (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, consumers=2),
      (ROUTE_VECTOR, "rrip", "native")),
     (dict(scheme="GRASP", stage=STAGE_STREAMING, native=True),
@@ -262,7 +292,7 @@ GOLDEN_PLANS = [
     (dict(scheme="Hawkeye", stage=STAGE_ONESHOT, native=True),
      (ROUTE_VECTOR, "hawkeye", "native")),
     (dict(scheme="SHiP-MEM", stage=STAGE_ONESHOT, native=False),
-     (ROUTE_VECTOR, "ship", "numpy")),
+     (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP+Hints", stage=STAGE_ROI, native=True),
      (ROUTE_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP", stage=STAGE_ROI, native=True, backend="scalar"),
@@ -270,7 +300,7 @@ GOLDEN_PLANS = [
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=True),
      (ROUTE_OPT_VECTOR, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_ONESHOT, native=False),
-     (ROUTE_OPT_VECTOR, "opt", "numpy")),
+     (ROUTE_OPT_SCALAR, "opt", "python")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True),
      (ROUTE_OPT_TWO_PASS, "opt", "native")),
     (dict(scheme="OPT", stage=STAGE_STREAMING, native=True, backend="scalar"),
@@ -279,7 +309,124 @@ GOLDEN_PLANS = [
      (ROUTE_CORUN_SCALAR, "scalar", "python")),
     (dict(scheme="RRIP", stage=STAGE_CORUN, native=True, num_streams=1),
      (ROUTE_CORUN_DELEGATE, "rrip", "native")),
+    (dict(scheme="LRU", stage=STAGE_ROI, native=False),
+     (ROUTE_VECTOR, "lru", "numpy")),
+    (dict(scheme="OPT", stage=STAGE_STREAMING, native=False),
+     (ROUTE_OPT_TWO_PASS, "opt", "numpy")),
+    (dict(scheme="GRASP", stage=STAGE_CORUN, native=False, num_streams=2),
+     (ROUTE_CORUN_SCALAR, "scalar", "python")),
+    (dict(scheme="GRASP", stage=STAGE_CORUN, native=False, num_streams=1),
+     (ROUTE_CORUN_DELEGATE, "scalar", "python")),
 ]
+
+
+#: One scheme per engine family, plus an ablation subclass (no array spec).
+HONESTY_SCHEMES = (
+    "LRU", "RRIP", "GRASP", "PIN-50", "SHiP-MEM", "Hawkeye", "Leeway", "OPT",
+    "RRIP+Hints",
+)
+HONESTY_STAGES = [
+    dict(stage=STAGE_ONESHOT),
+    dict(stage=STAGE_ROI),
+    dict(stage=STAGE_STREAMING),
+    dict(stage=STAGE_CORUN, num_streams=2),
+    dict(stage=STAGE_CORUN, num_streams=2, partition=WayPartition.parse("8:8")),
+]
+
+
+class TestPlannerHonesty:
+    """Without native kernels no plan may pick a tier measured slower than
+    the scalar reference: only LRU and streaming OPT keep the NumPy tier,
+    and every fall-back to the scalar reference names its reason."""
+
+    @staticmethod
+    def _assert_honest(plan, numpy_ok):
+        if plan.kernel == "numpy":
+            assert numpy_ok, plan.explain()
+        else:
+            assert plan.kernel == "python", plan.explain()
+            assert plan.fallbacks, plan.explain()
+
+    @pytest.mark.parametrize("backend", [None, "verify"])
+    @pytest.mark.parametrize("stage", HONESTY_STAGES, ids=lambda kw: "-".join(
+        str(value) for value in kw.values()))
+    @pytest.mark.parametrize("scheme", HONESTY_SCHEMES)
+    def test_single_scheme_plans(self, scheme, stage, backend):
+        request = _request(scheme, native=False, backend=backend, **stage)
+        if scheme == "OPT" and stage["stage"] == STAGE_CORUN:
+            with pytest.raises(ValueError, match="no co-run analogue"):
+                PLANNER.plan(request)
+            return
+        numpy_ok = scheme == "LRU" or (
+            scheme == "OPT" and stage["stage"] == STAGE_STREAMING
+        )
+        self._assert_honest(PLANNER.plan(request), numpy_ok)
+
+    @pytest.mark.parametrize("stage", [STAGE_ROI, STAGE_STREAMING])
+    def test_multi_scheme_plans(self, stage):
+        def multi(schemes):
+            return SimRequest(
+                schemes=schemes,
+                policies=tuple(scheme_policy(s) for s in schemes),
+                stage=stage,
+                hierarchy=HIERARCHY,
+                native_override=False,
+            )
+
+        mixed = PLANNER.plan(multi(tuple(s for s in HONESTY_SCHEMES if s != "OPT")))
+        self._assert_honest(mixed, numpy_ok=False)
+        assert any("scalar reference" in reason for reason in mixed.fallbacks)
+        lru_only = PLANNER.plan(multi(("LRU", "LRU")))
+        assert lru_only.kernel == "numpy"
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Resolve the kernel registry as a compiler-less host would."""
+    monkeypatch.setenv(kernels.NATIVE_ENV_VAR, "0")
+    kernels.reset()
+    yield
+    monkeypatch.undo()
+    kernels.reset()
+
+
+def test_native_only_streams_refuse_to_build_without_kernels(no_kernels):
+    from repro.cache.config import CacheConfig
+    from repro.fastsim import (
+        HawkeyeStream,
+        LeewayStream,
+        LRUStream,
+        NativeKernelUnavailable,
+        PinStream,
+        PolicyReplayStream,
+        RRIPStream,
+        ShipStream,
+        hawkeye_spec,
+        leeway_spec,
+        pin_spec,
+        rrip_spec,
+        ship_spec,
+    )
+
+    builders = {
+        "RRIPStream": lambda: RRIPStream(16, 4, rrip_spec(scheme_policy("GRASP"))),
+        "PinStream": lambda: PinStream(16, 4, pin_spec(scheme_policy("PIN-50"))),
+        "ShipStream": lambda: ShipStream(16, 4, ship_spec(scheme_policy("SHiP-MEM"))),
+        "HawkeyeStream": lambda: HawkeyeStream(16, 4, hawkeye_spec(scheme_policy("Hawkeye"))),
+        "LeewayStream": lambda: LeewayStream(16, 4, leeway_spec(scheme_policy("Leeway"))),
+    }
+    for name, build in builders.items():
+        with pytest.raises(NativeKernelUnavailable) as excinfo:
+            build()
+        message = str(excinfo.value)
+        assert name in message
+        assert "REPRO_NATIVE" in message and "REPRO_CC" in message
+    llc = CacheConfig(size_bytes=16 * 4 * 64, ways=4, name="LLC")
+    with pytest.raises(NativeKernelUnavailable):
+        PolicyReplayStream(scheme_policy("RRIP"), llc)
+    # LRU keeps its NumPy engine.
+    assert LRUStream(16, 4).feed(np.arange(8)).shape == (8,)
+    assert PolicyReplayStream(scheme_policy("LRU"), llc).stats().hits == 0
 
 
 @pytest.mark.parametrize("kwargs,expected", GOLDEN_PLANS)
@@ -333,7 +480,10 @@ class TestTaskPlanning:
         config = ExperimentConfig.smoke()
         plan = plan_scheme_task("PR", "lj", config.reorder, "GRASP", config)
         assert plan.stage == STAGE_ROI
-        assert plan.route in (ROUTE_FUSED, ROUTE_VECTOR)
+        if kernels.available():
+            assert plan.route in (ROUTE_FUSED, ROUTE_VECTOR)
+        else:
+            assert (plan.route, plan.kernel) == (ROUTE_SCALAR, "python")
 
     def test_plan_reflects_memo_state(self, tmp_path):
         """Once a sweep persisted its chunk store, the next plan replays it."""
@@ -350,8 +500,14 @@ class TestTaskPlanning:
         plan = plan_scheme_task(
             "PR", "lj", config.reorder, "GRASP", config, streaming=True
         )
-        assert plan.route == ROUTE_VECTOR
-        assert any("chunk store" in reason for reason in plan.fallbacks)
+        if kernels.available():
+            assert plan.route == ROUTE_VECTOR
+            assert any("chunk store" in reason for reason in plan.fallbacks)
+        else:
+            # Without kernels GRASP runs the scalar reference whatever the
+            # memo holds, and the plan says why.
+            assert plan.route == ROUTE_SCALAR
+            assert any("kernel unavailable" in reason for reason in plan.fallbacks)
 
     def test_plan_corun_task_matches_runner(self):
         config = ExperimentConfig.smoke()

@@ -30,11 +30,17 @@ from repro.fastsim.plan import (
     ROUTE_CORUN_SCALAR,
     ROUTE_CORUN_VECTOR,
     ROUTE_FUSED,
+    ROUTE_OPT_SCALAR,
     ROUTE_OPT_TWO_PASS,
     ROUTE_OPT_VECTOR,
     ROUTE_SCALAR,
     ROUTE_VECTOR,
 )
+
+#: Without native kernels the RRIP-family schemes run the scalar reference
+#: (they have no NumPy engine), and one-shot OPT its offline loop.
+NATIVE = kernels.available()
+STAGED_ROUTE = ROUTE_VECTOR if NATIVE else ROUTE_SCALAR
 
 VECTOR_CFG = ExperimentConfig.smoke()
 SCALAR_CFG = VECTOR_CFG.with_overrides(backend="scalar")
@@ -74,7 +80,7 @@ def _stream_stats(scheme, config, shared_stream=False):
 class TestRoiRoutes:
     def test_fused_route_matches_reference(self):
         plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "GRASP", VECTOR_CFG)
-        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else ROUTE_VECTOR
+        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else STAGED_ROUTE
         assert plan.route == expected
         vector = _roi_stats("GRASP", VECTOR_CFG)
         clear_caches()
@@ -97,7 +103,7 @@ class TestRoiRoutes:
 
     def test_opt_vector_route_matches_reference(self):
         plan = plan_scheme_task("PR", "lj", VECTOR_CFG.reorder, "OPT", VECTOR_CFG)
-        assert plan.route == ROUTE_OPT_VECTOR
+        assert plan.route == (ROUTE_OPT_VECTOR if NATIVE else ROUTE_OPT_SCALAR)
         vector = _roi_stats("OPT", VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(vector, _roi_stats("OPT", SCALAR_CFG))
@@ -109,7 +115,7 @@ class TestStreamingRoutes:
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "GRASP", STREAM_VECTOR_CFG,
             streaming=True,
         )
-        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else ROUTE_VECTOR
+        expected = ROUTE_FUSED if kernels.has_capability("fused:rrip") else STAGED_ROUTE
         assert plan.route == expected
         vector = _stream_stats("GRASP", STREAM_VECTOR_CFG)
         clear_caches()
@@ -122,7 +128,7 @@ class TestStreamingRoutes:
             "PR", "lj", STREAM_VECTOR_CFG.reorder, "RRIP", STREAM_VECTOR_CFG,
             streaming=True,
         )
-        assert plan.route == ROUTE_VECTOR  # chunk store now on disk
+        assert plan.route == STAGED_ROUTE  # chunk store now on disk
         clear_caches()
         set_disk_memo(None)
         _assert_stats_equal(vector, _stream_stats("RRIP", STREAM_SCALAR_CFG))
@@ -172,7 +178,7 @@ class TestCorunRoutes:
 
     def test_corun_vector_matches_reference(self):
         plan = plan_corun_task(self.PAIR_SPEC, "RRIP", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_VECTOR
+        assert plan.route == (ROUTE_CORUN_VECTOR if NATIVE else ROUTE_CORUN_SCALAR)
         vector = self._corun_stats(self.PAIR_SPEC, "RRIP", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(
@@ -184,7 +190,7 @@ class TestCorunRoutes:
             pairs=self.PAIR_SPEC.pairs, partition=WayPartition.parse("8:8")
         )
         plan = plan_corun_task(spec, "GRASP", VECTOR_CFG)
-        assert plan.route == ROUTE_CORUN_VECTOR
+        assert plan.route == (ROUTE_CORUN_VECTOR if NATIVE else ROUTE_CORUN_SCALAR)
         vector = self._corun_stats(spec, "GRASP", STREAM_VECTOR_CFG)
         clear_caches()
         _assert_stats_equal(

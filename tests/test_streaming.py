@@ -7,8 +7,10 @@ counts, hit/miss/eviction/bypass statistics and the *final policy state*
 distances).  Covered at three levels:
 
 * engine level: randomized block/hint/PC streams through every ``*Stream``
-  against the one-shot dispatchers, for both the compiled kernel and the
-  NumPy fallback, across several chunk budgets;
+  against the one-shot dispatchers, for the compiled kernel and for the
+  route a compiler-less host streams through (the NumPy LRU/OPT streams,
+  the scalar reference for the native-only families), across several chunk
+  budgets;
 * filter level: :class:`repro.fastsim.FilterStream` against
   :func:`repro.fastsim.run_filter` under all three backends;
 * pipeline level: the runner's full-execution streaming simulation against
@@ -20,6 +22,7 @@ distances).  Covered at three levels:
 import numpy as np
 import pytest
 
+from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.hints import HINT_HIGH
 from repro.cache.policies.hawkeye import HawkeyePolicy
 from repro.cache.policies.leeway import LeewayPolicy
@@ -95,6 +98,44 @@ def chunked(array, size):
     return [array[start : start + size] for start in range(0, len(array), size)]
 
 
+needs_native = pytest.mark.skipif(
+    not kernels.available(),
+    reason="the one-shot reference engine is native-only: no C compiler",
+)
+
+
+def scalar_chunks(policy, streams, chunk):
+    """The compiler-less streaming route: the scalar reference fed in chunks.
+
+    Returns the hit mask, the per-set miss counts and the cache statistics;
+    the policy object carries the final learning state.
+    """
+    num_sets, ways = GEOMETRY
+    cache = SetAssociativeCache(
+        CacheConfig(size_bytes=num_sets * ways * 64, ways=ways, name="LLC"), policy
+    )
+    hits = []
+    for blocks, hints, pcs in zip(
+        *(chunked(streams[key], chunk) for key in ("blocks", "hints", "pcs"))
+    ):
+        hits.extend(
+            cache.access_block(block, pc, hint)
+            for block, pc, hint in zip(blocks.tolist(), pcs.tolist(), hints.tolist())
+        )
+    hits = np.array(hits, dtype=bool)
+    misses = np.bincount(streams["blocks"][~hits] & (num_sets - 1), minlength=num_sets)
+    return hits, misses, cache.stats
+
+
+def off_default(table, default):
+    """A learning table without the entries still at their default value."""
+    return {key: value for key, value in table.items() if value != default}
+
+
+#: ``use_native`` selects the engine a host streams through: the native
+#: ``*Stream`` when kernels are available, otherwise the NumPy ``LRUStream``
+#: / ``OptStream`` and, for the native-only families, the scalar reference
+#: fed chunk by chunk.  Every case compares against the one-shot engine.
 @pytest.mark.parametrize("use_native", BACKENDS)
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 class TestEngineStreams:
@@ -109,6 +150,7 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.evictions == one.evictions
 
+    @needs_native
     @pytest.mark.parametrize(
         "policy_factory",
         [SRRIPPolicy, BRRIPPolicy, DRRIPPolicy, GraspPolicy],
@@ -118,7 +160,15 @@ class TestEngineStreams:
         num_sets, ways = GEOMETRY
         spec = rrip_spec(policy_factory())
         one = rrip_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
-        stream = RRIPStream(num_sets, ways, spec, use_native=use_native)
+        if not use_native:
+            policy = policy_factory()
+            hits, misses, _ = scalar_chunks(policy, streams, chunk)
+            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(misses, one.misses_per_set)
+            assert (policy._psel if spec.dueling else None) == one.psel
+            assert getattr(policy, "_insert_count", 0) == one.insert_count
+            return
+        stream = RRIPStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, hints)
@@ -132,12 +182,22 @@ class TestEngineStreams:
         assert stream.psel == one.psel
         assert stream.insert_count == one.insert_count
 
+    @needs_native
     @pytest.mark.parametrize("fraction", [0.25, 1.0], ids=["pin25", "pin100"])
     def test_pin(self, streams, use_native, chunk, fraction):
         num_sets, ways = GEOMETRY
         spec = pin_spec(PinningPolicy(reserved_fraction=fraction))
         one = pin_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
-        stream = PinStream(num_sets, ways, spec, use_native=use_native)
+        if not use_native:
+            policy = PinningPolicy(reserved_fraction=fraction)
+            hits, misses, stats = scalar_chunks(policy, streams, chunk)
+            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(misses, one.misses_per_set)
+            assert stats.bypasses == one.bypass_count
+            assert (policy._psel, policy._insert_count) == (one.psel, one.insert_count)
+            assert stats.evictions == one.evictions
+            return
+        stream = PinStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, hints)
@@ -153,11 +213,19 @@ class TestEngineStreams:
         assert stream.insert_count == one.insert_count
         assert stream.evictions == one.evictions
 
+    @needs_native
     def test_ship(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = ship_spec(ShipMemPolicy(region_bytes=256, block_bytes=64))
         one = ship_replay(streams["blocks"], num_sets, ways, spec)
-        stream = ShipStream(num_sets, ways, spec, use_native=use_native)
+        if not use_native:
+            policy = ShipMemPolicy(region_bytes=256, block_bytes=64)
+            hits, misses, _ = scalar_chunks(policy, streams, chunk)
+            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(misses, one.misses_per_set)
+            assert off_default(policy._shct, 1) == off_default(one.shct, 1)
+            return
+        stream = ShipStream(num_sets, ways, spec)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
@@ -165,11 +233,19 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.shct == one.shct
 
+    @needs_native
     def test_hawkeye(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = hawkeye_spec(HawkeyePolicy())
         one = hawkeye_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
-        stream = HawkeyeStream(num_sets, ways, spec, use_native=use_native)
+        if not use_native:
+            policy = HawkeyePolicy()
+            hits, misses, _ = scalar_chunks(policy, streams, chunk)
+            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(misses, one.misses_per_set)
+            assert off_default(policy._predictor, spec.midpoint) == one.predictor
+            return
+        stream = HawkeyeStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, pcs)
@@ -182,11 +258,19 @@ class TestEngineStreams:
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predictor == one.predictor
 
+    @needs_native
     def test_leeway(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = leeway_spec(LeewayPolicy())
         one = leeway_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
-        stream = LeewayStream(num_sets, ways, spec, use_native=use_native)
+        if not use_native:
+            policy = LeewayPolicy()
+            hits, misses, _ = scalar_chunks(policy, streams, chunk)
+            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(misses, one.misses_per_set)
+            assert off_default(policy._predicted_ld, 0) == one.predicted_live_distances
+            return
+        stream = LeewayStream(num_sets, ways, spec)
         hits = np.concatenate(
             [
                 stream.feed(blocks, pcs)
@@ -219,6 +303,7 @@ class TestEngineStreams:
 
 
 class TestPolicyReplayStream:
+    @needs_native
     def test_stats_match_one_shot_vector_replay(self, streams):
         num_sets, ways = GEOMETRY
         from repro.cache.config import CacheConfig
