@@ -93,11 +93,10 @@ from repro.fastsim.plan import (
     PolicyReplayStream,
     SimRequest,
     assert_stats_equal,
+    opt_replay,
     resolve_chunk_next_use,
     run_filter,
     supports_vector_replay,
-    vector_opt_replay,
-    vector_policy_replay,
 )
 from repro.experiments.schemes import scheme_policy
 from repro.graph.csr import CSRGraph
@@ -579,8 +578,8 @@ def simulate_llc_policy(
     with a fast engine — plain LRU, the exact RRIP-family policies
     (SRRIP/BRRIP/DRRIP/GRASP, with the trace's reuse-hint stream wired
     through) and the engines for SHiP-MEM, Hawkeye, Leeway and PIN-X (hint
-    and PC streams wired through) — dispatch to
-    :func:`repro.fastsim.vector_policy_replay`; the GRASP ablation
+    and PC streams wired through) — replay as one feed on a fresh
+    :class:`~repro.fastsim.PolicyReplayStream`; the GRASP ablation
     subclasses use the scalar simulator regardless of the backend, and so
     does every scheme but LRU when the native kernels are unavailable.
     """
@@ -592,14 +591,14 @@ def simulate_llc_policy(
     plan = _plan_replay(policy, backend)
     if plan.route == ROUTE_SCALAR:
         return _scalar_llc_replay(llc_trace, policy, llc_config, use_hints)
-    vector_stats = vector_policy_replay(
-        policy,
+    stream = PolicyReplayStream(policy, llc_config)
+    stream.feed(
         llc_trace.block_addresses,
-        llc_config,
         hints=llc_trace.hints if use_hints else None,
         regions=llc_trace.regions,
         pcs=llc_trace.pcs,
     )
+    vector_stats = stream.stats()
     if plan.verify:
         scalar_stats = _scalar_llc_replay(llc_trace, policy, llc_config, use_hints)
         assert_stats_equal(scalar_stats, vector_stats, f"LLC {policy.name} replay")
@@ -618,6 +617,17 @@ def _scalar_llc_replay(
     return stream.stats()
 
 
+def _opt_stats(stream: OptStream, llc_config: CacheConfig) -> CacheStats:
+    """``-OPT`` statistics of a fed :class:`~repro.fastsim.OptStream`, named
+    like the offline reference's (:func:`simulate_opt_misses`)."""
+    return CacheStats.from_counts(
+        name=f"{llc_config.name}-OPT",
+        hits=stream.hit_count,
+        misses=stream.miss_count,
+        evictions=stream.evictions,
+    )
+
+
 def simulate_opt(
     llc_trace: LLCTrace, llc_config: CacheConfig, backend: Optional[str] = None
 ) -> CacheStats:
@@ -632,7 +642,8 @@ def simulate_opt(
     plan = PLANNER.plan(SimRequest(schemes=("OPT",), backend=backend))
     if plan.route == ROUTE_OPT_SCALAR:
         return simulate_opt_misses(llc_trace.block_addresses, llc_config)
-    vector_stats = vector_opt_replay(llc_trace.block_addresses, llc_config)
+    _, stream = opt_replay(llc_trace.block_addresses, llc_config.num_sets, llc_config.ways)
+    vector_stats = _opt_stats(stream, llc_config)
     if plan.verify:
         scalar_stats = simulate_opt_misses(llc_trace.block_addresses, llc_config)
         assert_stats_equal(scalar_stats, vector_stats, "LLC OPT replay")
@@ -1017,12 +1028,7 @@ def simulate_opt_streaming(
         stream = OptStream(llc_config.num_sets, llc_config.ways)
         for index in range(count):
             stream.feed(spill.get("blocks", index), spill.get("next", index))
-        stats = CacheStats.from_counts(
-            name=f"{llc_config.name}-OPT",
-            hits=stream.hit_count,
-            misses=stream.miss_count,
-            evictions=stream.evictions,
-        )
+        stats = _opt_stats(stream, llc_config)
         if plan.verify:
             scalar_stats = simulate_opt_misses(materialized(), llc_config)
             assert_stats_equal(scalar_stats, stats, "streaming LLC OPT replay")

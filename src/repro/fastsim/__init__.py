@@ -38,8 +38,6 @@ computations over whole traces or as compiled kernels:
     :class:`~repro.fastsim.kernels.NativeKernelUnavailable`) and the planner
     routes those families to the scalar reference simulator, which beats
     any batched NumPy formulation of them.
-    (:mod:`repro.fastsim._native` is a *deprecated* facade for old imports —
-    it emits a :class:`DeprecationWarning`; import the registry instead.)
 ``pipeline``
     The fused single-pass pipeline: L1/L2 filtering and the LLC replay of
     one policy run in a single native call per trace chunk, threaded across
@@ -59,8 +57,9 @@ computations over whole traces or as compiled kernels:
     Sec. IV of the paper), with a scalar reference path and an equivalence
     guard used by the ``verify`` backend.
 ``replay``
-    Fast LLC replay dispatch for stage 6 — every scheme of the paper's
-    matrix, including the per-region statistics breakdown of Fig. 2.
+    Fast LLC replay for stage 6: :class:`PolicyReplayStream` runs every
+    online scheme of the paper's matrix behind one ``feed``, including the
+    per-region statistics breakdown of Fig. 2.
     :func:`supports_vector_replay` is the predicate deciding which policies
     qualify (exact policy types only; subclasses fall back to scalar).
 ``dispatch``
@@ -68,6 +67,10 @@ computations over whole traces or as compiled kernels:
     ``verify`` (run both, assert identical counts).  The process-wide default
     can be overridden with the ``REPRO_SIM_BACKEND`` environment variable or
     per-call/per-config.
+
+Every LLC engine has one form, a resumable ``*Stream`` whose state carries
+across ``feed`` calls.  A one-shot replay (``lru_replay``, ``rrip_replay``,
+...) is one ``feed`` on a fresh stream and returns ``(hits, stream)``.
 
 The GRASP ablation variants (RRIP+Hints, insertion-only GRASP) use the
 scalar simulator regardless of the selected backend — they subclass
@@ -96,29 +99,24 @@ from repro.fastsim.filter import (
 )
 from repro.fastsim.kernels import NativeKernelUnavailable
 from repro.fastsim.hawkeye import (
-    HawkeyeReplay,
     HawkeyeSpec,
     HawkeyeStream,
     hawkeye_replay,
     hawkeye_spec,
 )
 from repro.fastsim.leeway import (
-    LeewayReplay,
     LeewaySpec,
     LeewayStream,
     leeway_replay,
     leeway_spec,
 )
 from repro.fastsim.opt import (
-    OptReplay,
     OptStream,
     next_use_indices,
-    numpy_opt_replay,
     opt_replay,
     resolve_chunk_next_use,
 )
 from repro.fastsim.pin import (
-    PinReplay,
     PinSpec,
     PinStream,
     pin_replay,
@@ -145,19 +143,14 @@ from repro.fastsim.plan import (
 from repro.fastsim.replay import (
     PolicyReplayStream,
     supports_vector_replay,
-    vector_lru_replay,
-    vector_opt_replay,
-    vector_policy_replay,
 )
 from repro.fastsim.rrip import (
-    RRIPReplay,
     RRIPSpec,
     RRIPStream,
     rrip_replay,
     rrip_spec,
 )
 from repro.fastsim.ship import (
-    ShipReplay,
     ShipSpec,
     ShipStream,
     ship_replay,
@@ -196,24 +189,18 @@ __all__ = [
     "FusedStats",
     "MultiFusedPipeline",
     "NativeKernelUnavailable",
-    "HawkeyeReplay",
     "HawkeyeSpec",
     "HawkeyeStream",
     "LRUReplay",
     "LRUStream",
-    "LeewayReplay",
     "LeewaySpec",
     "LeewayStream",
-    "OptReplay",
     "OptStream",
-    "PinReplay",
     "PinSpec",
     "PinStream",
     "PolicyReplayStream",
-    "RRIPReplay",
     "RRIPSpec",
     "RRIPStream",
-    "ShipReplay",
     "ShipSpec",
     "ShipStream",
     "capabilities_for",
@@ -228,7 +215,6 @@ __all__ = [
     "lru_replay",
     "next_use_indices",
     "numpy_lru_replay",
-    "numpy_opt_replay",
     "occurrence_order",
     "opt_replay",
     "pin_replay",
@@ -249,7 +235,4 @@ __all__ = [
     "supports_vector_corun",
     "supports_vector_replay",
     "vector_filter",
-    "vector_lru_replay",
-    "vector_opt_replay",
-    "vector_policy_replay",
 ]

@@ -14,20 +14,20 @@ Both backends return a :class:`FilterResult` — the keep mask plus the L1/L2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cache import SetAssociativeCache
-from repro.cache.config import HierarchyConfig
+from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.policies import LRUPolicy
 from repro.cache.stats import CacheStats
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import SCALAR, VECTOR, resolve_backend
 from repro.fastsim.stackdist import (
-    LRUReplay,
     LRUStream,
     lru_replay,
+    numpy_lru_replay,
     occurrence_order,
     previous_occurrence_indices,
     substream_previous_indices,
@@ -63,13 +63,20 @@ def scalar_filter(trace: Trace, hierarchy: HierarchyConfig) -> FilterResult:
     return FilterResult(keep=keep, l1_stats=l1.stats, l2_stats=l2.stats)
 
 
-def _level_stats(name: str, replay: LRUReplay) -> CacheStats:
-    return CacheStats.from_counts(
-        name=name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-    )
+def _lru_level(
+    blocks: np.ndarray, level: CacheConfig, prev_indices: Optional[np.ndarray]
+):
+    """Hit mask and counters of one LRU filter level.
+
+    With shared previous-occurrence links (hosts without the compiled
+    kernel) the level runs the whole-trace stack-distance engine; otherwise
+    one feed on a fresh native :class:`LRUStream`.  Either counters object
+    exposes ``hit_count``, ``miss_count`` and ``evictions``.
+    """
+    if prev_indices is None:
+        return lru_replay(blocks, level.num_sets, level.ways)
+    replay = numpy_lru_replay(blocks, level.num_sets, level.ways, prev_indices=prev_indices)
+    return replay.hits, replay
 
 
 def vector_filter(trace: Trace, hierarchy: HierarchyConfig) -> FilterResult:
@@ -103,34 +110,35 @@ def vector_filter(trace: Trace, hierarchy: HierarchyConfig) -> FilterResult:
     # feeds the NumPy stack-distance engine; the compiled kernel tracks
     # recency in-line and needs neither.
     occ = None if kernels.available() else occurrence_order(head_blocks)
-    l1_replay = lru_replay(
+    l1_hits, l1 = _lru_level(
         head_blocks,
-        hierarchy.l1.num_sets,
-        hierarchy.l1.ways,
-        prev_indices=None if occ is None else previous_occurrence_indices(head_blocks, occ),
+        hierarchy.l1,
+        None if occ is None else previous_occurrence_indices(head_blocks, occ),
     )
     collapsed_hits = n - int(head_indices.shape[0])
     l1_stats = CacheStats.from_counts(
         name=hierarchy.l1.name,
-        hits=collapsed_hits + l1_replay.hit_count,
-        misses=l1_replay.miss_count,
-        evictions=l1_replay.evictions,
+        hits=collapsed_hits + l1.hit_count,
+        misses=l1.miss_count,
+        evictions=l1.evictions,
     )
 
-    miss_heads = np.flatnonzero(~l1_replay.hits)
-    l2_replay = lru_replay(
+    miss_heads = np.flatnonzero(~l1_hits)
+    l2_hits, l2 = _lru_level(
         head_blocks[miss_heads],
-        hierarchy.l2.num_sets,
-        hierarchy.l2.ways,
-        prev_indices=None
-        if occ is None
-        else substream_previous_indices(head_blocks, occ, miss_heads),
+        hierarchy.l2,
+        None if occ is None else substream_previous_indices(head_blocks, occ, miss_heads),
     )
-    keep[head_indices[miss_heads[~l2_replay.hits]]] = True
+    keep[head_indices[miss_heads[~l2_hits]]] = True
     return FilterResult(
         keep=keep,
         l1_stats=l1_stats,
-        l2_stats=_level_stats(hierarchy.l2.name, l2_replay),
+        l2_stats=CacheStats.from_counts(
+            name=hierarchy.l2.name,
+            hits=l2.hit_count,
+            misses=l2.miss_count,
+            evictions=l2.evictions,
+        ),
     )
 
 

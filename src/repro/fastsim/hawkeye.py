@@ -8,8 +8,9 @@ evictions of friendly lines detrain it.  The compiled kernel
 reimplementing OPTgen with dense block/PC ids and ring-buffer occupancy
 vectors of ``history_factor * ways`` entries per sampled set.
 
-:func:`hawkeye_replay` and :class:`HawkeyeStream` are exact, including the
-final predictor contents.  Both need the native kernel library and raise
+:class:`HawkeyeStream` is exact, including the final predictor contents;
+:func:`hawkeye_replay` is one feed on a fresh stream.  It needs the native
+kernel library and raises
 :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; a
 zero-length OPTgen window (``history_factor <= 0``) has no ring buffer and
 raises :class:`ValueError`.  The execution planner routes both cases to the
@@ -19,7 +20,7 @@ scalar reference simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -59,34 +60,6 @@ def hawkeye_spec(policy: ReplacementPolicy) -> Optional[HawkeyeSpec]:
         predictor_max=policy.predictor_max,
         history_factor=policy.history_factor,
     )
-
-
-@dataclass(frozen=True)
-class HawkeyeReplay:
-    """Outcome of replaying a block stream through one Hawkeye cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final PC predictor as ``{pc: counter}``, restricted to counters away
-    #: from the weakly-friendly midpoint (absent PCs predict the midpoint,
-    #: matching the scalar policy's default).
-    predictor: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (Hawkeye never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def _history_window(spec: HawkeyeSpec, ways: int) -> int:
@@ -207,44 +180,11 @@ def hawkeye_replay(
     num_sets: int,
     ways: int,
     spec: HawkeyeSpec,
-) -> HawkeyeReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` Hawkeye cache.
+) -> Tuple[np.ndarray, HawkeyeStream]:
+    """One-shot replay: one :meth:`HawkeyeStream.feed` on a fresh stream.
 
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
-    compiled kernel (:mod:`repro.fastsim.kernels`); raises
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
+    Returns the hit mask and the stream, which carries the per-set misses
+    and the final PC predictor.
     """
-    kernels.require("replay:hawkeye", "hawkeye_replay")
-    history = _history_window(spec, ways)
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    pc_values = _pc_array(pcs, n)
-    unique_blocks, block_ids = np.unique(blocks, return_inverse=True)
-    unique_pcs, pc_ids = np.unique(pc_values, return_inverse=True)
-    native = kernels.hawkeye_replay(
-        blocks,
-        block_ids.astype(np.int64),
-        int(unique_blocks.shape[0]),
-        pc_ids.astype(np.int64),
-        int(unique_pcs.shape[0]),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.sample_period,
-        spec.predictor_max,
-        history,
-    )
-    native_hits, misses_per_set, predictor_values = native
-    midpoint = spec.midpoint
-    predictor = {
-        int(unique_pcs[index]): int(value)
-        for index, value in enumerate(predictor_values.tolist())
-        if value != midpoint
-    }
-    return HawkeyeReplay(
-        hits=native_hits,
-        misses_per_set=misses_per_set,
-        ways=ways,
-        predictor=predictor,
-    )
+    stream = HawkeyeStream(num_sets, ways, spec)
+    return stream.feed(block_addresses, pcs), stream

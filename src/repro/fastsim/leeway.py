@@ -6,20 +6,21 @@ per-signature (PC) predictor updated on evictions with reuse-oriented bias.
 The compiled kernel (:mod:`repro.fastsim.kernels.leeway`) stores recency
 stacks as a ``(num_sets, ways)`` *position* matrix (0 = MRU) and replays
 victim selection — the deepest predicted-dead line, else plain LRU — and
-predictor updates in exact trace order.  PC signatures are densified (one
-``np.unique`` for one-shot replays, a grow-only id map for streams) so the
+predictor updates in exact trace order.  PC signatures are densified by a
+grow-only id map (:class:`~repro.fastsim.stackdist.DenseIdMap`) so the
 predictor is flat arrays rather than dicts.
 
-:func:`leeway_replay` and :class:`LeewayStream` are exact, including the
-final predicted live distances.  Both need the native kernel library and
-raise :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it;
-the execution planner then routes Leeway to the scalar reference simulator.
+:class:`LeewayStream` is exact, including the final predicted live
+distances; :func:`leeway_replay` is one feed on a fresh stream.  It needs
+the native kernel library and raises
+:class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; the
+execution planner then routes Leeway to the scalar reference simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -47,33 +48,6 @@ def leeway_spec(policy: ReplacementPolicy) -> Optional[LeewaySpec]:
     return LeewaySpec(decay_period=policy.decay_period)
 
 
-@dataclass(frozen=True)
-class LeewayReplay:
-    """Outcome of replaying a block stream through one Leeway cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final predicted live distance per PC signature (only trained PCs;
-    #: untrained signatures predict 0, like the scalar policy).
-    predicted_live_distances: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (Leeway never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
-
-
 def _pc_array(pcs: Optional[np.ndarray], n: int) -> np.ndarray:
     """Normalise an optional PC stream to ``n`` values (0 when absent)."""
     if pcs is None:
@@ -90,7 +64,7 @@ class LeewayStream:
     Carries tags, recency positions, observed live distances, per-line
     signatures and the global per-PC predictor across :meth:`feed` calls;
     chunked replay is bit-identical to one replay over the concatenation.
-    PCs are densified incrementally (grow-only first-appearance ids), and
+    PCs are densified incrementally (a grow-only id map), and
     the predictor/vote arrays grow with the id space.  Building a stream
     without the native kernel raises
     :class:`~repro.fastsim.kernels.NativeKernelUnavailable`.
@@ -175,36 +149,11 @@ def leeway_replay(
     num_sets: int,
     ways: int,
     spec: LeewaySpec,
-) -> LeewayReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` Leeway cache.
+) -> Tuple[np.ndarray, LeewayStream]:
+    """One-shot replay: one :meth:`LeewayStream.feed` on a fresh stream.
 
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
-    compiled kernel (:mod:`repro.fastsim.kernels`); raises
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
+    Returns the hit mask and the stream, which carries the per-set misses
+    and the final predicted live distances.
     """
-    kernels.require("replay:leeway", "leeway_replay")
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    pc_values = _pc_array(pcs, n)
-    unique_pcs, pc_ids = np.unique(pc_values, return_inverse=True)
-    native = kernels.leeway_replay(
-        blocks,
-        pc_ids.astype(np.int64),
-        int(unique_pcs.shape[0]),
-        num_sets,
-        ways,
-        spec.decay_period,
-    )
-    native_hits, misses_per_set, predicted = native
-    final = {
-        int(unique_pcs[index]): int(value)
-        for index, value in enumerate(predicted.tolist())
-        if value
-    }
-    return LeewayReplay(
-        hits=native_hits,
-        misses_per_set=misses_per_set,
-        ways=ways,
-        predicted_live_distances=final,
-    )
+    stream = LeewayStream(num_sets, ways, spec)
+    return stream.feed(block_addresses, pcs), stream

@@ -19,9 +19,9 @@ kernel's:
 * bypassed accesses are counted (misses that evict nothing and insert
   nothing) and leave every piece of state untouched, including PSEL.
 
-:func:`pin_replay` and :class:`PinStream` are exact, including the final
-PSEL / bimodal-counter state and the per-set pinned populations.  Both need
-the native kernel library and raise
+:class:`PinStream` is exact, including the final PSEL / bimodal-counter
+state and the per-set pinned populations; :func:`pin_replay` is one feed on
+a fresh stream.  It needs the native kernel library and raises
 :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; the
 execution planner then routes PIN-X to the scalar reference simulator.
 """
@@ -29,7 +29,7 @@ execution planner then routes PIN-X to the scalar reference simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,39 +70,6 @@ def pin_spec(policy: ReplacementPolicy) -> Optional[PinSpec]:
         psel_max=policy.psel_max,
         leader_period=policy.LEADER_PERIOD,
     )
-
-
-@dataclass(frozen=True)
-class PinReplay:
-    """Outcome of replaying a block stream through one PIN-X cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    bypasses_per_set: np.ndarray
-    ways: int
-    psel: int
-    insert_count: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses (bypassed accesses included)."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def bypass_count(self) -> int:
-        """Total number of bypassed insertions."""
-        return int(self.bypasses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions: non-bypassed misses beyond each set's capacity."""
-        filled = self.misses_per_set - self.bypasses_per_set
-        return int(np.maximum(0, filled - self.ways).sum())
 
 
 class PinStream:
@@ -193,37 +160,12 @@ def pin_replay(
     num_sets: int,
     ways: int,
     spec: PinSpec,
-) -> PinReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` PIN-X cache.
+) -> Tuple[np.ndarray, PinStream]:
+    """One-shot replay: one :meth:`PinStream.feed` on a fresh stream.
 
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
-    compiled kernel (:mod:`repro.fastsim.kernels`); raises
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
+    Returns the hit mask and the stream, which carries the per-set misses
+    and bypasses, the pinned populations and the final PSEL /
+    bimodal-counter state.
     """
-    kernels.require("replay:pin", "pin_replay")
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hint_values = _hint_array(hints, n)
-    native = kernels.pin_replay(
-        blocks,
-        hint_values.astype(np.uint8),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.epsilon,
-        spec.psel_max,
-        spec.leader_period,
-        spec.reserved_ways(ways),
-        HINT_HIGH,
-        spec.psel_max // 2,
-    )
-    native_hits, misses_per_set, bypasses_per_set, psel, insert_count = native
-    return PinReplay(
-        hits=native_hits,
-        misses_per_set=misses_per_set,
-        bypasses_per_set=bypasses_per_set,
-        ways=ways,
-        psel=psel,
-        insert_count=insert_count,
-    )
+    stream = PinStream(num_sets, ways, spec)
+    return stream.feed(block_addresses, hints), stream

@@ -51,19 +51,14 @@ from repro.fastsim.corun import CorunReplayStream, supports_vector_corun
 from repro.fastsim.dispatch import SCALAR, VECTOR, VERIFY, resolve_backend
 from repro.fastsim.filter import FilterStream, assert_stats_equal, run_filter
 from repro.fastsim.hawkeye import hawkeye_spec
-from repro.fastsim.opt import OptStream, resolve_chunk_next_use
+from repro.fastsim.opt import OptStream, opt_replay, resolve_chunk_next_use
 from repro.fastsim.pipeline import (
     FusedPipeline,
     MultiFusedPipeline,
     _family,
     fused_native_supported,
 )
-from repro.fastsim.replay import (
-    PolicyReplayStream,
-    supports_vector_replay,
-    vector_opt_replay,
-    vector_policy_replay,
-)
+from repro.fastsim.replay import PolicyReplayStream, supports_vector_replay
 
 # ---------------------------------------------------------------------------
 # capability table
@@ -794,10 +789,9 @@ __all__ = [
     "OptStream",
     "PolicyReplayStream",
     "assert_stats_equal",
+    "opt_replay",
     "resolve_chunk_next_use",
     "run_filter",
     "supports_vector_corun",
     "supports_vector_replay",
-    "vector_opt_replay",
-    "vector_policy_replay",
 ]

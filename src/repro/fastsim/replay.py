@@ -12,7 +12,9 @@ subclasses that override hooks the array specs cannot express — remain
 scalar-only.  :func:`supports_vector_replay` says which policies have an
 engine at all; whether it can run on this host (the native-only families
 need the kernel library) is the execution planner's call
-(:mod:`repro.fastsim.plan`).
+(:mod:`repro.fastsim.plan`).  :class:`PolicyReplayStream` drives every
+online engine behind one feed interface; OPT needs the future and runs
+through :class:`~repro.fastsim.opt.OptStream`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from repro.cache.config import CacheConfig
 from repro.cache.policies import LRUPolicy
 from repro.cache.policies.opt import BeladyOptimal
 from repro.cache.stats import CacheStats
-from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_replay, hawkeye_spec
-from repro.fastsim.leeway import LeewayStream, leeway_replay, leeway_spec
-from repro.fastsim.opt import opt_replay
-from repro.fastsim.pin import PinStream, pin_replay, pin_spec
-from repro.fastsim.rrip import RRIPStream, rrip_replay, rrip_spec
-from repro.fastsim.ship import ShipStream, ship_replay, ship_spec
-from repro.fastsim.stackdist import LRUStream, lru_replay
+from repro.fastsim.hawkeye import HawkeyeStream, hawkeye_spec
+from repro.fastsim.leeway import LeewayStream, leeway_spec
+from repro.fastsim.pin import PinStream, pin_spec
+from repro.fastsim.rrip import RRIPStream, rrip_spec
+from repro.fastsim.ship import ShipStream, ship_spec
+from repro.fastsim.stackdist import LRUStream
 
 
 def supports_vector_replay(policy) -> bool:
@@ -74,57 +75,21 @@ def _region_breakdown(hits: np.ndarray, regions: Optional[np.ndarray]):
     return region_accesses, region_misses
 
 
-def vector_lru_replay(
-    block_addresses: np.ndarray,
-    llc_config: CacheConfig,
-    regions: Optional[np.ndarray] = None,
-) -> CacheStats:
-    """Replay an LLC-bound block stream under LRU and return its statistics.
-
-    ``regions`` (when given) produces the same per-region access/miss
-    breakdown the scalar simulator records for Fig. 2, computed with
-    ``np.bincount`` instead of per-access dictionary updates.
-    """
-    replay = lru_replay(block_addresses, llc_config.num_sets, llc_config.ways)
-    region_accesses, region_misses = _region_breakdown(replay.hits, regions)
-    return CacheStats.from_counts(
-        name=llc_config.name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-        region_accesses=region_accesses,
-        region_misses=region_misses,
-    )
-
-
-def vector_opt_replay(
-    block_addresses: np.ndarray, llc_config: CacheConfig
-) -> CacheStats:
-    """Belady's OPT statistics for an LLC trace via the vectorized engine.
-
-    Mirrors :func:`repro.cache.policies.opt.simulate_opt_misses` (including
-    the ``-OPT`` stats name); the scalar reference records no per-region
-    breakdown, so neither does this path.
-    """
-    replay = opt_replay(block_addresses, llc_config.num_sets, llc_config.ways)
-    return CacheStats.from_counts(
-        name=f"{llc_config.name}-OPT",
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-    )
-
-
 class PolicyReplayStream:
     """Resumable LLC replay under any policy :func:`supports_vector_replay`
     accepts, except the offline :class:`BeladyOptimal` (streaming OPT is a
     two-pass pipeline — see
     :func:`repro.experiments.runner.simulate_opt_streaming`).
 
-    The streaming counterpart of :func:`vector_policy_replay`: feed aligned
-    (blocks, hints, regions, pcs) chunks, then read :meth:`stats`.  Chunked
-    replay is bit-identical to the one-shot call on the concatenation,
-    including the final policy state, which is exposed via the underlying
+    Feed aligned (blocks, hints, regions, pcs) chunks, then read
+    :meth:`stats`; a one-shot replay is one feed on a fresh stream.
+    ``hints`` is the 2-bit GRASP reuse-hint stream (``None`` replays
+    hint-blind, like the scalar simulator with ``use_hints=False``); GRASP's
+    tables and PIN's pinning decisions consult it.  ``pcs`` is the
+    synthetic program-counter stream the PC-indexed schemes (Hawkeye,
+    Leeway) train on (``None`` replays with a constant PC).  Chunked replay
+    is bit-identical to one feed of the concatenation, including the final
+    policy state, which is exposed via the underlying
     ``engine`` attribute (an ``*Stream`` object carrying PSEL, SHCT,
     predictor tables, pinned populations, ...).  Policies outside LRU need
     the native kernel library: without it construction raises
@@ -209,62 +174,3 @@ class PolicyReplayStream:
     def finish(self) -> CacheStats:
         """Alias of :meth:`stats`, closing the begin/feed/finish cycle."""
         return self.stats()
-
-
-def vector_policy_replay(
-    policy,
-    block_addresses: np.ndarray,
-    llc_config: CacheConfig,
-    hints: Optional[np.ndarray] = None,
-    regions: Optional[np.ndarray] = None,
-    pcs: Optional[np.ndarray] = None,
-) -> CacheStats:
-    """Replay an LLC trace under any policy :func:`supports_vector_replay` accepts.
-
-    ``hints`` is the 2-bit GRASP reuse-hint stream aligned with
-    ``block_addresses`` (``None`` replays hint-blind, like the scalar
-    simulator with ``use_hints=False``); GRASP's tables and PIN's pinning
-    decisions consult it.  ``pcs`` is the synthetic program-counter stream
-    the PC-indexed schemes (Hawkeye, Leeway) train on (``None`` replays with
-    a constant PC, like the scalar simulator's default).  Policies outside
-    LRU and OPT need the native kernel library and raise
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
-    """
-    if type(policy) is LRUPolicy:
-        return vector_lru_replay(block_addresses, llc_config, regions=regions)
-    if type(policy) is BeladyOptimal:
-        return vector_opt_replay(block_addresses, llc_config)
-    num_sets, ways = llc_config.num_sets, llc_config.ways
-    bypasses = 0
-    spec = rrip_spec(policy)
-    if spec is not None:
-        replay = rrip_replay(block_addresses, hints, num_sets, ways, spec)
-    else:
-        pspec = pin_spec(policy)
-        sspec = ship_spec(policy)
-        hspec = hawkeye_spec(policy)
-        lspec = leeway_spec(policy)
-        if pspec is not None:
-            replay = pin_replay(block_addresses, hints, num_sets, ways, pspec)
-            bypasses = replay.bypass_count
-        elif sspec is not None:
-            replay = ship_replay(block_addresses, num_sets, ways, sspec)
-        elif hspec is not None:
-            replay = hawkeye_replay(block_addresses, pcs, num_sets, ways, hspec)
-        elif lspec is not None:
-            replay = leeway_replay(block_addresses, pcs, num_sets, ways, lspec)
-        else:
-            raise ValueError(
-                f"policy {policy!r} has no vectorized replay engine; "
-                "use supports_vector_replay() before dispatching"
-            )
-    region_accesses, region_misses = _region_breakdown(replay.hits, regions)
-    return CacheStats.from_counts(
-        name=llc_config.name,
-        hits=replay.hit_count,
-        misses=replay.miss_count,
-        evictions=replay.evictions,
-        bypasses=bypasses,
-        region_accesses=region_accesses,
-        region_misses=region_misses,
-    )

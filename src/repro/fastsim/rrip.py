@@ -16,10 +16,11 @@ types are eligible — a subclass could override any hook and silently diverge,
 so :func:`rrip_spec` returns ``None`` for anything else and the caller falls
 back to the scalar simulator.
 
-:func:`rrip_replay` and :class:`RRIPStream` are exact with respect to the
-scalar policies, including the final PSEL / bimodal-counter state, which
-the equivalence tests compare.  Both need the native kernel library and
-raise :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it:
+:class:`RRIPStream` is exact with respect to the scalar policies, including
+the final PSEL / bimodal-counter state, which the equivalence tests
+compare; :func:`rrip_replay` is one feed on a fresh stream.  It needs the
+native kernel library and raises
+:class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it:
 on such hosts the execution planner routes the family to the scalar
 reference simulator, which is faster than any batched NumPy formulation
 of this per-set-sequential policy.
@@ -90,34 +91,6 @@ def rrip_spec(policy: ReplacementPolicy) -> Optional[RRIPSpec]:
         psel_max=psel_max,
         leader_period=leader_period,
     )
-
-
-@dataclass(frozen=True)
-class RRIPReplay:
-    """Outcome of replaying a block stream through one RRIP-family cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final PSEL value (``None`` for non-dueling policies).
-    psel: Optional[int]
-    #: Final bimodal insertion count (0 for SRRIP).
-    insert_count: int
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (RRIP never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
 
 
 def _hint_array(hints: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -206,36 +179,11 @@ def rrip_replay(
     num_sets: int,
     ways: int,
     spec: RRIPSpec,
-) -> RRIPReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` RRIP cache.
+) -> Tuple[np.ndarray, RRIPStream]:
+    """One-shot replay: one :meth:`RRIPStream.feed` on a fresh stream.
 
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
-    compiled kernel (:mod:`repro.fastsim.kernels`); raises
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
+    Returns the hit mask and the stream, which carries the per-set misses
+    and the final PSEL / bimodal-counter state.
     """
-    kernels.require("replay:rrip", "rrip_replay")
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    n = int(blocks.shape[0])
-    hint_values = _hint_array(hints, n)
-    native = kernels.rrip_replay(
-        blocks,
-        hint_values.astype(np.uint8),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        np.asarray(spec.insertion_table, dtype=np.int32),
-        np.asarray(spec.promotion_table, dtype=np.int32),
-        spec.epsilon,
-        spec.psel_max,
-        spec.leader_period,
-        spec.psel_max // 2,
-    )
-    native_hits, misses_per_set, psel, insert_count = native
-    return RRIPReplay(
-        hits=native_hits,
-        misses_per_set=misses_per_set,
-        ways=ways,
-        psel=psel if spec.dueling else None,
-        insert_count=insert_count,
-    )
+    stream = RRIPStream(num_sets, ways, spec)
+    return stream.feed(block_addresses, hints), stream

@@ -7,12 +7,14 @@ eviction of a never-reused line trains it down, and every insertion reads
 the incoming block's signature to pick between long (``max-1``) and distant
 (``max``) re-reference insertion.  The compiled kernel
 (:mod:`repro.fastsim.kernels.ship`) replays all of that in trace order over
-dense signature ids — densified with one ``np.unique`` for one-shot replays
-and a grow-only id map for streams — so the SHCT is a flat array rather
-than a dict (the paper's table is unbounded, so no aliasing is introduced).
+dense signature ids — densified by a grow-only id map
+(:class:`~repro.fastsim.stackdist.DenseIdMap`) — so the SHCT is a flat
+array rather than a dict (the paper's table is unbounded, so no aliasing is
+introduced).
 
-:func:`ship_replay` and :class:`ShipStream` are exact, including the final
-SHCT contents.  Both need the native kernel library and raise
+:class:`ShipStream` is exact, including the final SHCT contents;
+:func:`ship_replay` is one feed on a fresh stream.  It needs the native
+kernel library and raises
 :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it; the
 execution planner then routes SHiP-MEM to the scalar reference simulator.
 """
@@ -57,47 +59,13 @@ def ship_spec(policy: ReplacementPolicy) -> Optional[ShipSpec]:
     )
 
 
-@dataclass(frozen=True)
-class ShipReplay:
-    """Outcome of replaying a block stream through one SHiP-MEM cache."""
-
-    hits: np.ndarray
-    misses_per_set: np.ndarray
-    ways: int
-    #: Final SHCT as ``{signature: counter}`` over every signature in the
-    #: trace (untrained signatures report the unseen value, 1).
-    shct: Dict[int, int]
-
-    @property
-    def hit_count(self) -> int:
-        """Total number of hits."""
-        return int(self.hits.sum())
-
-    @property
-    def miss_count(self) -> int:
-        """Total number of misses."""
-        return int(self.misses_per_set.sum())
-
-    @property
-    def evictions(self) -> int:
-        """Total evictions (SHiP never bypasses, so misses beyond capacity)."""
-        return int(np.maximum(0, self.misses_per_set - self.ways).sum())
-
-
-def _dense_signatures(blocks: np.ndarray, region_shift: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Map block addresses to dense signature ids (and the id→signature table)."""
-    return np.unique(blocks >> region_shift, return_inverse=True)
-
-
 class ShipStream:
     """Resumable exact SHiP-MEM replay: feed a block stream in chunks.
 
     Carries tags, RRPVs, per-line signature/reused bits and the global SHCT
     across :meth:`feed` calls; chunked replay is bit-identical to one replay
-    over the concatenation.  Signatures are densified *incrementally* — a
-    grow-only first-appearance id map replaces the one-shot engine's whole-
-    trace ``np.unique``, which a stream cannot compute — and the SHCT array
-    grows with the id space (label-invariant, so outcomes are unchanged).
+    over the concatenation.  Signatures are densified *incrementally* by a
+    grow-only id map, and the SHCT array grows with the id space.
     Building a stream without the native kernel raises
     :class:`~repro.fastsim.kernels.NativeKernelUnavailable`.
     """
@@ -164,31 +132,11 @@ class ShipStream:
 
 def ship_replay(
     block_addresses: np.ndarray, num_sets: int, ways: int, spec: ShipSpec
-) -> ShipReplay:
-    """Replay a block stream through a ``num_sets`` x ``ways`` SHiP-MEM cache.
+) -> Tuple[np.ndarray, ShipStream]:
+    """One-shot replay: one :meth:`ShipStream.feed` on a fresh stream.
 
-    ``num_sets`` must be a power of two (set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).  Runs the
-    compiled kernel (:mod:`repro.fastsim.kernels`); raises
-    :class:`~repro.fastsim.kernels.NativeKernelUnavailable` without it.
+    Returns the hit mask and the stream, which carries the per-set misses
+    and the final SHCT.
     """
-    kernels.require("replay:ship", "ship_replay")
-    blocks = np.ascontiguousarray(block_addresses, dtype=np.int64)
-    signatures, sig_ids = _dense_signatures(blocks, spec.region_shift)
-    native = kernels.ship_replay(
-        blocks,
-        sig_ids.astype(np.int64),
-        int(signatures.shape[0]),
-        num_sets,
-        ways,
-        spec.max_rrpv,
-        spec.counter_max,
-        _UNSEEN,
-    )
-    native_hits, misses_per_set, shct = native
-    final = {
-        int(sig): int(value) for sig, value in zip(signatures.tolist(), shct.tolist())
-    }
-    return ShipReplay(
-        hits=native_hits, misses_per_set=misses_per_set, ways=ways, shct=final
-    )
+    stream = ShipStream(num_sets, ways, spec)
+    return stream.feed(block_addresses), stream

@@ -46,7 +46,7 @@ a set's occupancy grows by one per miss until it is full, giving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -211,12 +211,12 @@ def substream_previous_indices(
 class DenseIdMap:
     """Grow-only mapping from raw keys to dense ids, stable across chunks.
 
-    The one-shot engines densify unbounded key spaces (SHiP signatures,
-    Leeway/Hawkeye PCs, Hawkeye block ids) with one ``np.unique`` over the
-    whole trace; a resumable stream cannot see the whole trace, so ids are
-    assigned in order of first appearance instead and never change.  All the
-    learning structures are label-invariant, so the two assignments produce
-    identical simulations.
+    Densifies the unbounded key spaces of the learning engines (SHiP
+    signatures, Leeway/Hawkeye PCs, Hawkeye block ids).  A resumable stream
+    cannot see the whole trace, so ids are assigned chunk by chunk and never
+    change: a chunk's unseen keys receive the next ids in sorted key order.
+    Every learning structure is label-invariant, so any stable assignment
+    gives the same simulation.
     """
 
     #: Largest key eligible for the direct-lookup fast path; beyond this the
@@ -224,62 +224,72 @@ class DenseIdMap:
     DIRECT_LIMIT = 1 << 22
 
     def __init__(self) -> None:
-        self._ids: dict = {}
-        self._direct: Optional[np.ndarray] = None
+        #: Raw keys in id order (grow-only, capacity doubles).
+        self._keys = np.empty(0, dtype=np.int64)
+        self._size = 0
+        #: Key -> id table for keys in ``[0, DIRECT_LIMIT)`` (-1 = unseen),
+        #: until a key outside that range switches the map to ``_ids``.
+        self._direct: Optional[np.ndarray] = np.empty(0, dtype=np.int64)
+        self._ids: Optional[dict] = None
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._size
 
     def map(self, values: np.ndarray) -> np.ndarray:
         """Dense ids for ``values``, assigning new ids to unseen keys."""
         values = np.asarray(values)
         if values.size == 0:
             return np.empty(0, dtype=np.int64)
-        if self._direct is not False:
+        if self._direct is not None:
             lo, hi = int(values.min()), int(values.max())
             if 0 <= lo and hi < self.DIRECT_LIMIT:
-                return self._map_direct(values, hi)
-        # Keys outside the direct range: fall back to the dict permanently
-        # (the dict is authoritative, so ids stay consistent either way).
-        self._direct = False  # type: ignore[assignment]
+                return self._map_direct(values, lo, hi)
+            # Keys outside the direct range: fall back to a dict permanently,
+            # seeded with every id assigned so far.
+            self._ids = {key: index for index, key in enumerate(self.keys_in_id_order())}
+            self._direct = None
         unique, inverse = np.unique(values, return_inverse=True)
         ids = self._ids
+        start = len(ids)
         table = np.fromiter(
             (ids.setdefault(key, len(ids)) for key in unique.tolist()),
             dtype=np.int64,
             count=unique.shape[0],
         )
+        self._append(unique[table >= start])
         return table[inverse]
 
-    def _map_direct(self, values: np.ndarray, hi: int) -> np.ndarray:
-        """O(n) lookup through a grow-only array instead of a per-chunk sort.
+    def _map_direct(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """O(n + span) lookup through a grow-only table instead of a sort.
 
-        New keys still receive ids in sorted order within the chunk, exactly
-        like the ``np.unique`` path, so both routes assign identical ids.
+        Unseen keys are found with a boolean mark table over the chunk's key
+        span; :func:`np.flatnonzero` returns them already sorted, so they
+        receive ids in sorted order exactly like the dict path.
         """
         direct = self._direct
-        if direct is None or direct.shape[0] <= hi:
-            direct = grow_to(
-                direct if direct is not None else np.empty(0, dtype=np.int64),
-                max(hi + 1, 2 * (direct.shape[0] if direct is not None else 0)),
-                -1,
-            )
-            self._direct = direct
+        if direct.shape[0] <= hi:
+            direct = self._direct = grow_to(direct, max(hi + 1, 2 * direct.shape[0]), -1)
         out = direct[values]
         missing = out < 0
         if missing.any():
-            ids = self._ids
-            fresh = np.unique(values[missing])
-            start = len(ids)
-            direct[fresh] = np.arange(start, start + fresh.shape[0], dtype=np.int64)
-            for key in fresh.tolist():
-                ids[key] = len(ids)
+            mark = np.zeros(hi + 1 - lo, dtype=bool)
+            mark[values[missing] - lo] = True
+            fresh = np.flatnonzero(mark) + lo
+            direct[fresh] = np.arange(self._size, self._size + fresh.shape[0], dtype=np.int64)
+            self._append(fresh)
             out = direct[values]
         return out
 
+    def _append(self, fresh: np.ndarray) -> None:
+        end = self._size + fresh.shape[0]
+        if end > self._keys.shape[0]:
+            self._keys = grow_to(self._keys, max(end, 2 * self._keys.shape[0]), 0)
+        self._keys[self._size : end] = fresh
+        self._size = end
+
     def keys_in_id_order(self) -> list:
-        """Raw keys ordered by their dense id (dicts preserve insertion)."""
-        return list(self._ids.keys())
+        """Raw keys ordered by their dense id."""
+        return self._keys[: self._size].tolist()
 
 
 def grow_to(array: np.ndarray, size: int, fill) -> np.ndarray:
@@ -456,39 +466,19 @@ class LRUStream:
         self.stamps[flat] = slot + 1
         self._state[0] = ways + 1
 
-    def replay_result(self) -> LRUReplay:
-        """Aggregate outcome so far, shaped like a one-shot :class:`LRUReplay`
-        (the per-access hit mask is not retained; chunk masks come from
-        :meth:`feed`)."""
-        return LRUReplay(
-            hits=np.zeros(0, dtype=bool),
-            misses_per_set=self.misses_per_set.copy(),
-            ways=self.ways,
-        )
-
 
 def lru_replay(
-    block_addresses: np.ndarray,
-    num_sets: int,
-    ways: int,
-    prev_indices: Optional[np.ndarray] = None,
-) -> LRUReplay:
-    """Replay ``block_addresses`` through a ``num_sets`` x ``ways`` LRU cache.
+    block_addresses: np.ndarray, num_sets: int, ways: int
+) -> Tuple[np.ndarray, LRUStream]:
+    """One-shot replay: one :meth:`LRUStream.feed` on a fresh stream.
 
-    Returns the per-access hit mask (in trace order) and per-set miss counts.
-    ``num_sets`` must be a power of two (the set index is ``block & mask``,
-    matching :class:`repro.cache.cache.SetAssociativeCache`).
-
-    Dispatches to the compiled kernel (:mod:`repro.fastsim.kernels`) when one
-    is available and to :func:`numpy_lru_replay` otherwise; both are exact.
+    Returns the per-access hit mask (in trace order) and the stream, which
+    carries the per-set miss counts.  ``num_sets`` must be a power of two
+    (the set index is ``block & mask``, matching
+    :class:`repro.cache.cache.SetAssociativeCache`).
     """
-    from repro.fastsim import kernels
-
-    native = kernels.lru_replay(np.asarray(block_addresses, dtype=np.int64), num_sets, ways)
-    if native is not None:
-        hits, misses_per_set = native
-        return LRUReplay(hits=hits, misses_per_set=misses_per_set, ways=ways)
-    return numpy_lru_replay(block_addresses, num_sets, ways, prev_indices=prev_indices)
+    stream = LRUStream(num_sets, ways)
+    return stream.feed(block_addresses), stream
 
 
 def numpy_lru_replay(
@@ -497,8 +487,8 @@ def numpy_lru_replay(
     ways: int,
     prev_indices: Optional[np.ndarray] = None,
 ) -> LRUReplay:
-    """Pure-NumPy stack-distance replay (the portable engine behind
-    :func:`lru_replay`).
+    """Pure-NumPy whole-trace stack-distance replay (the portable engine
+    behind :class:`LRUStream` and the L1/L2 filter).
 
     ``prev_indices`` optionally supplies precomputed previous-same-block
     links (:func:`previous_occurrence_indices`) to skip the internal sort.

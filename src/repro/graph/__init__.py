@@ -15,21 +15,10 @@ the graph datasets the paper evaluates on:
   download/verify tooling.
 * :mod:`~repro.graph.properties` — degree/skew analysis used to reproduce
   Table I.
-
-The older per-mechanism entry points (:mod:`~repro.graph.generators`
-functions, :func:`~repro.graph.datasets.get_dataset`, :mod:`~repro.graph.io`
-load/save) remain importable as deprecated wrappers around the same
-implementations.
 """
 
 from repro.graph.csr import CSRGraph, GraphError, MmapCSRGraph
-from repro.graph.datasets import DatasetSpec, get_dataset, list_datasets
-from repro.graph.generators import (
-    chung_lu_graph,
-    low_skew_graph,
-    rmat_graph,
-    uniform_random_graph,
-)
+from repro.graph.datasets import DatasetSpec, list_datasets
 from repro.graph.ingest import fetch_dataset, ingest_graph, verify_file
 from repro.graph.properties import (
     DegreeStatistics,
@@ -63,23 +52,18 @@ __all__ = [
     "SkewProfile",
     "SkewReport",
     "canonical_spec",
-    "chung_lu_graph",
     "degree_statistics",
     "describe_spec",
     "edge_coverage",
     "fetch_dataset",
-    "get_dataset",
     "hot_vertex_mask",
     "ingest_graph",
     "list_datasets",
     "list_sources",
     "load",
     "load_for_experiment",
-    "low_skew_graph",
     "register_source",
-    "rmat_graph",
     "save",
     "skew_report",
-    "uniform_random_graph",
     "verify_file",
 ]

@@ -1,14 +1,12 @@
 """Persistence of graphs as edge-list text files and compressed NumPy archives.
 
-The public ``load_*``/``save_*`` functions are retained as thin deprecated
-wrappers: graph acquisition is unified behind :func:`repro.graph.load` and
-:func:`repro.graph.save` (see :mod:`repro.graph.source`), and real-world
-files go through the chunked parsers of :mod:`repro.graph.ingest`.
+These are the format back ends of :func:`repro.graph.load` and
+:func:`repro.graph.save` (see :mod:`repro.graph.source`); real-world files go
+through the chunked parsers of :mod:`repro.graph.ingest`.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -20,14 +18,6 @@ PathLike = Union[str, Path]
 
 #: Edges formatted per block by the vectorized writer.
 _WRITE_CHUNK_EDGES = 1 << 20
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -95,24 +85,6 @@ def _load_edge_list(path: PathLike, num_vertices: Optional[int] = None) -> CSRGr
     )
 
 
-def save_edge_list(graph: CSRGraph, path: PathLike) -> None:
-    """Write a graph as a whitespace-separated ``src dst [weight]`` text file.
-
-    .. deprecated:: use :func:`repro.graph.save` instead.
-    """
-    _deprecated("repro.graph.io.save_edge_list", "repro.graph.save")
-    _save_edge_list(graph, path)
-
-
-def load_edge_list(path: PathLike, num_vertices: Optional[int] = None) -> CSRGraph:
-    """Load an edge-list file (comments ``#``/``%``, optional weight column).
-
-    .. deprecated:: use ``repro.graph.load("file:<path>")`` instead.
-    """
-    _deprecated("repro.graph.io.load_edge_list", 'repro.graph.load("file:<path>")')
-    return _load_edge_list(path, num_vertices=num_vertices)
-
-
 # ---------------------------------------------------------------------------
 # npz round-trip
 # ---------------------------------------------------------------------------
@@ -145,21 +117,3 @@ def _load_npz(path: PathLike) -> CSRGraph:
             in_weights=data["in_weights"] if "in_weights" in data else None,
             name=str(data["name"]),
         )
-
-
-def save_npz(graph: CSRGraph, path: PathLike) -> None:
-    """Save a graph in compressed NumPy format (fast round-trip).
-
-    .. deprecated:: use :func:`repro.graph.save` instead.
-    """
-    _deprecated("repro.graph.io.save_npz", "repro.graph.save")
-    _save_npz(graph, path)
-
-
-def load_npz(path: PathLike) -> CSRGraph:
-    """Load a graph saved by :func:`save_npz`.
-
-    .. deprecated:: use ``repro.graph.load("npz:<path>")`` instead.
-    """
-    _deprecated("repro.graph.io.load_npz", 'repro.graph.load("npz:<path>")')
-    return _load_npz(path)

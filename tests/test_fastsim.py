@@ -27,6 +27,8 @@ from repro.fastsim import (
     VECTOR,
     VERIFY,
     FastSimMismatchError,
+    LRUReplay,
+    PolicyReplayStream,
     kernels,
     default_backend,
     lru_replay,
@@ -38,7 +40,6 @@ from repro.fastsim import (
     set_default_backend,
     supports_vector_replay,
     vector_filter,
-    vector_lru_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
 from repro.trace import Trace
@@ -82,10 +83,20 @@ class TestPriorLeqCounts:
         assert prior_leq_counts(np.array([5])).tolist() == [0]
 
 
+def _hits_and_counters(engine, blocks, num_sets, ways):
+    """``(hits, counters)`` from ``lru_replay``'s fresh stream or from the
+    whole-trace :class:`LRUReplay`; both counters expose the same totals."""
+    result = engine(blocks, num_sets, ways)
+    if isinstance(result, LRUReplay):
+        return result.hits, result
+    return result
+
+
 class TestLRUReplayEquivalence:
-    # ``lru_replay`` dispatches to the compiled kernel when one is available;
-    # ``numpy_lru_replay`` is the portable stack-distance engine.  Both must
-    # reproduce the scalar simulator exactly.
+    # ``lru_replay`` is one feed on a fresh ``LRUStream`` (the compiled
+    # kernel when one is available); ``numpy_lru_replay`` is the portable
+    # stack-distance engine.  Both must reproduce the scalar simulator
+    # exactly.
     ENGINES = (lru_replay, numpy_lru_replay)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -96,8 +107,8 @@ class TestLRUReplayEquivalence:
         for n in (0, 1, 2, ways, 257):
             blocks = _random_blocks(rng, style, n, num_sets * ways)
             expected_hits, expected_stats = _reference_lru(blocks, num_sets, ways)
-            replay = engine(blocks, num_sets, ways)
-            assert np.array_equal(replay.hits, expected_hits)
+            hits, replay = _hits_and_counters(engine, blocks, num_sets, ways)
+            assert np.array_equal(hits, expected_hits)
             assert replay.hit_count == expected_stats.hits
             assert replay.miss_count == expected_stats.misses
             assert replay.evictions == expected_stats.evictions
@@ -105,8 +116,8 @@ class TestLRUReplayEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_handcrafted_eviction_pattern(self, engine):
         # One 2-way set: A B C B A -> C evicts A, final A evicts C.
-        replay = engine(np.array([0, 1, 2, 1, 0]) * 1, num_sets=1, ways=2)
-        assert replay.hits.tolist() == [False, False, False, True, False]
+        hits, replay = _hits_and_counters(engine, np.array([0, 1, 2, 1, 0]), 1, 2)
+        assert hits.tolist() == [False, False, False, True, False]
         assert replay.miss_count == 4
         assert replay.evictions == 2
 
@@ -116,9 +127,9 @@ class TestLRUReplayEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(10):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
-            native = lru_replay(blocks, num_sets=8, ways=4)
+            native_hits, native = lru_replay(blocks, num_sets=8, ways=4)
             portable = numpy_lru_replay(blocks, num_sets=8, ways=4)
-            assert np.array_equal(native.hits, portable.hits)
+            assert np.array_equal(native_hits, portable.hits)
             assert np.array_equal(native.misses_per_set, portable.misses_per_set)
 
 
@@ -203,7 +214,9 @@ class TestLLCReplayEquivalence:
         blocks = rng.integers(0, 64, size=800)
         regions = rng.integers(0, 4, size=800).astype(np.int8)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_lru_replay(blocks, llc, regions=regions)
+        stream = PolicyReplayStream(LRUPolicy(), llc)
+        stream.feed(blocks, regions=regions)
+        stats = stream.stats()
         reference = CacheStats(name="LLC")
         cache = SetAssociativeCache(llc, LRUPolicy())
         for block, region in zip(blocks.tolist(), regions.tolist()):

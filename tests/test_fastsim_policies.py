@@ -2,10 +2,10 @@
 
 Property-style, mirroring ``tests/test_fastsim_rrip.py``: randomized block
 streams x reuse-hint streams x PC streams x cache geometries must produce
-byte-identical outcomes on the scalar policies and both native entry points
-(the one-shot kernels and the resumable streams fed in seeded random
-chunks) for SHiP-MEM, Hawkeye, Leeway and the PIN-X pinning configurations,
-and on the NumPy and native engines for Belady's OPT — per-access hit
+byte-identical outcomes on the scalar policies and both ways of driving the
+native streams (one feed on a fresh stream, and seeded random chunks) for
+SHiP-MEM, Hawkeye, Leeway and the PIN-X pinning configurations, and on the
+NumPy and native engines for Belady's OPT — per-access hit
 masks, full hit/miss/eviction/bypass statistics, and the global learning
 state (SHCT, PC predictors, PSEL).  The SHiP/Hawkeye/Leeway/PIN engines are
 native-only, so those cases skip on hosts without a C compiler.  Also
@@ -28,6 +28,7 @@ from repro.cache.policies.ship import ShipMemPolicy
 from repro.core.variants import GraspInsertionOnlyPolicy, RRIPWithHintsPolicy
 from repro.experiments import ExperimentConfig, build_workload, clear_caches
 from repro.experiments.runner import (
+    LLCTrace,
     _scalar_llc_replay,
     llc_trace_for,
     simulate_llc_policy,
@@ -38,23 +39,20 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
-    HawkeyeReplay,
     HawkeyeStream,
-    LeewayReplay,
     LeewayStream,
-    PinReplay,
+    OptStream,
     PinStream,
-    ShipReplay,
+    PolicyReplayStream,
     ShipStream,
     kernels,
     hawkeye_spec,
     leeway_spec,
-    numpy_opt_replay,
+    next_use_indices,
     opt_replay,
     pin_spec,
     ship_spec,
     supports_vector_replay,
-    vector_policy_replay,
 )
 from repro.fastsim import (
     hawkeye_replay as dispatch_hawkeye_replay,
@@ -124,6 +122,19 @@ needs_native = pytest.mark.skipif(
 )
 
 
+def _one_feed(policy, llc, blocks, **columns):
+    """One-shot LLC replay: one feed on a fresh :class:`PolicyReplayStream`."""
+    stream = PolicyReplayStream(policy, llc)
+    stream.feed(blocks, **columns)
+    return stream.stats()
+
+
+def _numpy_opt_replay(blocks, num_sets, ways):
+    """One feed on a fresh NumPy-tier :class:`OptStream`."""
+    stream = OptStream(num_sets, ways, use_native=False)
+    return stream.feed(blocks, next_use_indices(blocks)), stream
+
+
 def _feed_in_random_chunks(stream, columns):
     """Feed aligned columns to ``stream`` in chunks seeded by their length."""
     n = int(columns[0].shape[0])
@@ -139,39 +150,27 @@ def _feed_in_random_chunks(stream, columns):
 
 def _chunked_ship(blocks, num_sets, ways, spec):
     stream = ShipStream(num_sets, ways, spec)
-    hits = _feed_in_random_chunks(stream, [np.asarray(blocks)])
-    return ShipReplay(hits, stream.misses_per_set, ways, stream.shct)
+    return _feed_in_random_chunks(stream, [np.asarray(blocks)]), stream
 
 
 def _chunked_hawkeye(blocks, pcs, num_sets, ways, spec):
     stream = HawkeyeStream(num_sets, ways, spec)
-    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)])
-    return HawkeyeReplay(hits, stream.misses_per_set, ways, stream.predictor)
+    return _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)]), stream
 
 
 def _chunked_leeway(blocks, pcs, num_sets, ways, spec):
     stream = LeewayStream(num_sets, ways, spec)
-    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)])
-    return LeewayReplay(
-        hits, stream.misses_per_set, ways, stream.predicted_live_distances
-    )
+    return _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(pcs)]), stream
 
 
 def _chunked_pin(blocks, hints, num_sets, ways, spec):
     stream = PinStream(num_sets, ways, spec)
-    hits = _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(hints)])
-    return PinReplay(
-        hits=hits,
-        misses_per_set=stream.misses_per_set,
-        bypasses_per_set=stream.bypasses_per_set,
-        ways=ways,
-        psel=stream.psel,
-        insert_count=stream.insert_count,
-    )
+    return _feed_in_random_chunks(stream, [np.asarray(blocks), np.asarray(hints)]), stream
 
 
-#: Engine families: the one-shot native dispatchers, and the resumable
-#: native streams fed in seeded random chunks.  The second family keeps the
+#: Engine families, each returning ``(hits, stream)``: the one-shot
+#: dispatchers (one feed on a fresh native stream), and the native streams
+#: fed in seeded random chunks.  The second family keeps the
 #: ``numpy`` key of the NumPy engines these cases exercised before they were
 #: deleted, so each case keeps its identity.
 ENGINES = {
@@ -191,25 +190,26 @@ ENGINES = {
 
 
 def _assert_replay_matches(replay, policy, expected_hits, expected_stats):
-    assert np.array_equal(replay.hits, expected_hits)
-    assert replay.hit_count == expected_stats.hits
-    assert replay.miss_count == expected_stats.misses
-    assert replay.evictions == expected_stats.evictions
+    hits, stream = replay
+    assert np.array_equal(hits, expected_hits)
+    assert stream.hit_count == expected_stats.hits
+    assert stream.miss_count == expected_stats.misses
+    assert stream.evictions == expected_stats.evictions
     # The global learning state must track the scalar policy exactly too.
     if type(policy) is ShipMemPolicy:
         for signature, value in policy._shct.items():
-            assert replay.shct.get(signature, 1) == value
+            assert stream.shct.get(signature, 1) == value
     elif type(policy) is HawkeyePolicy:
         midpoint = (policy.predictor_max + 1) // 2
         for pc, value in policy._predictor.items():
-            assert replay.predictor.get(pc, midpoint) == value
+            assert stream.predictor.get(pc, midpoint) == value
     elif type(policy) is LeewayPolicy:
         for signature, value in policy._predicted_ld.items():
-            assert replay.predicted_live_distances.get(signature, 0) == value
+            assert stream.predicted_live_distances.get(signature, 0) == value
     elif type(policy) is PinningPolicy:
-        assert replay.bypass_count == expected_stats.bypasses
-        assert replay.psel == policy._psel
-        assert replay.insert_count == policy._insert_count
+        assert stream.bypass_count == expected_stats.bypasses
+        assert stream.psel == policy._psel
+        assert stream.insert_count == policy._insert_count
 
 
 class TestScalarBugfixes:
@@ -387,9 +387,10 @@ class TestPolicyReplayEquivalence:
             ENGINES[engine_name], policy, blocks, hints, pcs, num_sets, ways
         )
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
-        assert replay.bypass_count == expected_stats.bypasses
+        _, stream = replay
+        assert stream.bypass_count == expected_stats.bypasses
         # Bypasses are misses that never insert: eviction counts must agree.
-        assert replay.evictions == expected_stats.evictions == 0
+        assert stream.evictions == expected_stats.evictions == 0
 
     @needs_native
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
@@ -412,7 +413,9 @@ class TestPolicyReplayEquivalence:
         )
         _assert_replay_matches(replay, policy, expected_hits, expected_stats)
 
-    @pytest.mark.parametrize("engine", [opt_replay, numpy_opt_replay])
+    @pytest.mark.parametrize(
+        "engine", [opt_replay, pytest.param(_numpy_opt_replay, id="numpy_opt_replay")]
+    )
     @pytest.mark.parametrize("num_sets,ways", GEOMETRIES)
     def test_opt_matches_offline_reference(self, engine, num_sets, ways):
         rng = np.random.default_rng(num_sets * 131 + ways)
@@ -420,28 +423,28 @@ class TestPolicyReplayEquivalence:
         for n in (0, 1, ways, 400, 1200):
             blocks = rng.integers(0, max(1, 2 * num_sets * ways), size=n).astype(np.int64)
             expected = simulate_opt_misses(blocks, config)
-            replay = engine(blocks, num_sets, ways)
+            _, replay = engine(blocks, num_sets, ways)
             assert replay.hit_count == expected.hits
             assert replay.miss_count == expected.misses
             assert replay.evictions == expected.evictions
 
     @needs_native
     def test_native_and_numpy_engines_agree(self):
-        # One-shot kernels against the chunk-fed streams on long streams.
+        # One feed against the chunk-fed streams on long streams.
         rng = np.random.default_rng(77)
         for policy_name in sorted(POLICIES):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2000)))
             hints = rng.integers(0, 4, size=blocks.shape[0])
             pcs = rng.integers(0, 9, size=blocks.shape[0])
             policy = POLICIES[policy_name]()
-            native = _vector_replay(
+            one_hits, one = _vector_replay(
                 ENGINES["dispatch"], policy, blocks, hints, pcs, 16, 4
             )
-            streamed = _vector_replay(
+            hits, streamed = _vector_replay(
                 ENGINES["numpy"], policy, blocks, hints, pcs, 16, 4
             )
-            assert np.array_equal(native.hits, streamed.hits)
-            assert np.array_equal(native.misses_per_set, streamed.misses_per_set)
+            assert np.array_equal(one_hits, hits)
+            assert np.array_equal(one.misses_per_set, streamed.misses_per_set)
 
 
 class TestVectorPolicyReplay:
@@ -454,8 +457,8 @@ class TestVectorPolicyReplay:
         pcs = rng.integers(0, 5, size=900)
         regions = rng.integers(0, 4, size=900).astype(np.int8)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_policy_replay(
-            POLICIES[policy_name](), blocks, llc, hints=hints, regions=regions, pcs=pcs
+        stats = _one_feed(
+            POLICIES[policy_name](), llc, blocks, hints=hints, regions=regions, pcs=pcs
         )
         cache = SetAssociativeCache(llc, POLICIES[policy_name]())
         for block, pc, hint, region in zip(
@@ -472,9 +475,7 @@ class TestVectorPolicyReplay:
         blocks = rng.integers(0, 256, size=800)
         hints = np.full(800, HINT_HIGH, dtype=np.int64)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_policy_replay(
-            PinningPolicy(reserved_fraction=1.0), blocks, llc, hints=hints
-        )
+        stats = _one_feed(PinningPolicy(reserved_fraction=1.0), llc, blocks, hints=hints)
         cache = SetAssociativeCache(llc, PinningPolicy(reserved_fraction=1.0))
         for block, hint in zip(blocks.tolist(), hints.tolist()):
             cache.access_block(block, 0, hint)
@@ -488,7 +489,17 @@ class TestVectorPolicyReplay:
         rng = np.random.default_rng(9)
         blocks = rng.integers(0, 128, size=600).astype(np.int64)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_policy_replay(BeladyOptimal(llc), blocks, llc)
+        llc_trace = LLCTrace(
+            byte_addresses=blocks << llc.block_offset_bits,
+            block_addresses=blocks,
+            pcs=np.zeros(600, dtype=np.int64),
+            regions=np.zeros(600, dtype=np.int8),
+            hints=np.zeros(600, dtype=np.int8),
+            upstream_l1_hits=0,
+            upstream_l2_hits=0,
+            total_references=600,
+        )
+        stats = simulate_llc_policy(llc_trace, BeladyOptimal(llc), llc, backend=VECTOR)
         expected = simulate_opt_misses(blocks, llc)
         assert_stats_equal(expected, stats, "test")
 

@@ -2,8 +2,8 @@
 
 Property-style: randomized block streams x randomized reuse-hint streams x
 randomized cache geometries must produce byte-identical outcomes on the
-scalar policies and both native entry points (the one-shot kernel and the
-resumable stream fed in seeded random chunks) — per-access hit masks, full
+scalar policies and both ways of driving the native stream (one feed on a
+fresh stream, and seeded random chunks) — per-access hit masks, full
 hit/miss/eviction statistics, and the global set-dueling state (PSEL and
 the bimodal insertion counter).  The engine is native-only, so those cases
 skip on hosts without a C compiler; the end-to-end dispatch cases run
@@ -35,13 +35,12 @@ from repro.fastsim import (
     SCALAR,
     VECTOR,
     VERIFY,
-    RRIPReplay,
+    PolicyReplayStream,
     RRIPStream,
     kernels,
     rrip_replay,
     rrip_spec,
     supports_vector_replay,
-    vector_policy_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
 
@@ -79,11 +78,11 @@ needs_native = pytest.mark.skipif(
 
 
 def chunked_stream_replay(block_addresses, hints, num_sets, ways, spec):
-    """One-shot-shaped replay through :class:`RRIPStream` fed in random chunks.
+    """``(hits, stream)`` of an :class:`RRIPStream` fed in random chunks.
 
     Chunk boundaries are drawn from a generator seeded by the stream length,
     so every case is reproducible; a resumable replay must be bit-identical
-    to the one-shot kernel at any boundaries.
+    to one feed at any boundaries.
     """
     blocks = np.asarray(block_addresses, dtype=np.int64)
     hint_values = None if hints is None else np.asarray(hints)
@@ -100,28 +99,31 @@ def chunked_stream_replay(block_addresses, hints, num_sets, ways, spec):
             )
         )
         start = end
-    return RRIPReplay(
-        hits=np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool),
-        misses_per_set=stream.misses_per_set,
-        ways=ways,
-        psel=stream.psel,
-        insert_count=stream.insert_count,
-    )
+    hits = np.concatenate(pieces) if pieces else np.zeros(0, dtype=bool)
+    return hits, stream
 
 
 def _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec):
-    assert np.array_equal(replay.hits, expected_hits)
-    assert replay.hit_count == expected_stats.hits
-    assert replay.miss_count == expected_stats.misses
-    assert replay.evictions == expected_stats.evictions
+    hits, stream = replay
+    assert np.array_equal(hits, expected_hits)
+    assert stream.hit_count == expected_stats.hits
+    assert stream.miss_count == expected_stats.misses
+    assert stream.evictions == expected_stats.evictions
     if spec.dueling:
         # The set-dueling state must track the scalar policy exactly too.
-        assert replay.psel == policy._psel
-        assert replay.insert_count == policy._insert_count
+        assert stream.psel == policy._psel
+        assert stream.insert_count == policy._insert_count
     else:
-        assert replay.psel is None
+        assert stream.psel is None
         if spec.epsilon:
-            assert replay.insert_count == policy._insert_count
+            assert stream.insert_count == policy._insert_count
+
+
+def _one_feed(policy, llc, blocks, **columns):
+    """One-shot LLC replay: one feed on a fresh :class:`PolicyReplayStream`."""
+    stream = PolicyReplayStream(policy, llc)
+    stream.feed(blocks, **columns)
+    return stream.stats()
 
 
 class TestSpecExtraction:
@@ -174,9 +176,9 @@ class TestSpecExtraction:
 
 @needs_native
 class TestRRIPReplayEquivalence:
-    # ``rrip_replay`` runs the one-shot kernel; the second engine feeds the
-    # resumable native stream in random chunks.  Both must reproduce the
-    # scalar policies exactly.  The second engine's case id is the name of
+    # ``rrip_replay`` is one feed on a fresh native stream; the second engine
+    # feeds the stream in random chunks.  Both must reproduce the scalar
+    # policies exactly.  The second engine's case id is the name of
     # the NumPy engine these cases exercised before it was deleted, so each
     # case keeps its identity.
     ENGINES = (
@@ -234,18 +236,18 @@ class TestRRIPReplayEquivalence:
         _assert_replay_matches(replay, policy, expected_hits, expected_stats, spec)
 
     def test_native_and_numpy_engines_agree(self):
-        # One-shot kernel against the chunk-fed stream on long streams.
+        # One feed against the chunk-fed stream on long streams.
         rng = np.random.default_rng(77)
         for policy_name in sorted(POLICIES):
             blocks = rng.integers(0, 512, size=int(rng.integers(1, 2500)))
             hints = rng.integers(0, 4, size=blocks.shape[0])
             spec = rrip_spec(POLICIES[policy_name]())
-            native = rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            streamed = chunked_stream_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
-            assert np.array_equal(native.hits, streamed.hits)
-            assert np.array_equal(native.misses_per_set, streamed.misses_per_set)
-            assert native.psel == streamed.psel
-            assert native.insert_count == streamed.insert_count
+            one_hits, one = rrip_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
+            hits, streamed = chunked_stream_replay(blocks, hints, num_sets=16, ways=4, spec=spec)
+            assert np.array_equal(one_hits, hits)
+            assert np.array_equal(one.misses_per_set, streamed.misses_per_set)
+            assert one.psel == streamed.psel
+            assert one.insert_count == streamed.insert_count
 
 
 class TestVectorPolicyReplay:
@@ -256,9 +258,7 @@ class TestVectorPolicyReplay:
         hints = rng.integers(0, 4, size=900)
         regions = rng.integers(0, 4, size=900).astype(np.int8)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_policy_replay(
-            GraspPolicy(), blocks, llc, hints=hints, regions=regions
-        )
+        stats = _one_feed(GraspPolicy(), llc, blocks, hints=hints, regions=regions)
         cache = SetAssociativeCache(llc, GraspPolicy())
         for block, hint, region in zip(blocks.tolist(), hints.tolist(), regions.tolist()):
             cache.access_block(block, 0, hint, region)
@@ -268,9 +268,8 @@ class TestVectorPolicyReplay:
 
     def test_unsupported_policy_raises(self):
         with pytest.raises(ValueError):
-            vector_policy_replay(
+            PolicyReplayStream(
                 scheme_policy("RRIP+Hints"),
-                np.arange(10),
                 CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC"),
             )
 
@@ -278,7 +277,7 @@ class TestVectorPolicyReplay:
         rng = np.random.default_rng(21)
         blocks = rng.integers(0, 64, size=500)
         llc = CacheConfig(size_bytes=16 * 64 * 4, ways=4, name="LLC")
-        stats = vector_policy_replay(LRUPolicy(), blocks, llc)
+        stats = _one_feed(LRUPolicy(), llc, blocks)
         cache = SetAssociativeCache(llc, LRUPolicy())
         for block in blocks.tolist():
             cache.access_block(block)

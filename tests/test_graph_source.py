@@ -3,8 +3,8 @@
 Covers the spec grammar (``"lj"``, ``"rmat:scale=8,seed=7"``,
 ``"file:g.txt?densify=true"``, ``"mtx:g.mtx"``), spec canonicalization
 (synthetic specs byte-identical, file specs content-addressed), the source
-registry, equivalence with the deprecated per-mechanism entry points, the
-DeprecationWarning wrappers themselves, memo-key stability through the
+registry, equivalence with the per-mechanism implementations, that the
+load/save paths raise no DeprecationWarning, memo-key stability through the
 experiment runner, and the new CLI surface (``--graph``, ``repro graph``).
 """
 
@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.graph as graph_pkg
 from repro.experiments.cli import _spec_from_args, build_parser, main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import canonical_dataset, workload_memo_key
@@ -87,7 +86,7 @@ class TestSpecGrammar:
 
 
 # ---------------------------------------------------------------------------
-# load() equivalence with the deprecated entry points
+# load() equivalence with the per-mechanism implementations
 # ---------------------------------------------------------------------------
 
 
@@ -254,33 +253,28 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# deprecated wrappers
+# deprecation-free load/save paths
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecationWrappers:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: graph_pkg.get_dataset("uni", scale=0.02),
-            lambda: graph_pkg.chung_lu_graph(60, 3.0, seed=1),
-            lambda: graph_pkg.rmat_graph(scale=6, seed=1),
-            lambda: graph_pkg.uniform_random_graph(50, 3.0, seed=1),
-        ],
-    )
-    def test_old_entry_points_warn_and_work(self, call):
-        with pytest.warns(DeprecationWarning, match="repro.graph.load"):
-            result = call()
-        assert result.num_vertices > 0
+    def test_retired_entry_points_are_gone(self):
+        import repro.graph as graph_pkg
+        from repro.graph import datasets, generators, io
 
-    def test_io_wrappers_warn(self, tmp_path):
-        graph = _chung_lu_graph(40, 3.0, seed=2, name="dep")
-        path = tmp_path / "d.txt"
-        with pytest.warns(DeprecationWarning):
-            graph_pkg.io.save_edge_list(graph, path)
-        with pytest.warns(DeprecationWarning):
-            loaded = graph_pkg.io.load_edge_list(path)
-        assert arrays_equal(graph, loaded)
+        for name in (
+            "get_dataset", "chung_lu_graph", "low_skew_graph", "rmat_graph",
+            "uniform_random_graph",
+        ):
+            assert not hasattr(graph_pkg, name)
+        assert not hasattr(datasets, "get_dataset")
+        for name in (
+            "chung_lu_graph", "low_skew_graph", "rmat_graph",
+            "uniform_random_graph", "planted_community_graph",
+        ):
+            assert not hasattr(generators, name)
+        for name in ("load_edge_list", "save_edge_list", "load_npz", "save_npz"):
+            assert not hasattr(io, name)
 
     def test_new_paths_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
@@ -289,7 +283,8 @@ class TestDeprecationWrappers:
             load("uni", scale=0.02)
             graph = _chung_lu_graph(40, 3.0, seed=2, name="s")
             save(graph, tmp_path / "s.txt")
-            load(f"file:{tmp_path}/s.txt", cache_root=tmp_path / "cache")
+            loaded = load(f"file:{tmp_path}/s.txt", cache_root=tmp_path / "cache")
+        assert arrays_equal(graph, loaded)
 
 
 # ---------------------------------------------------------------------------

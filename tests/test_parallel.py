@@ -14,7 +14,7 @@ from repro.experiments import (
 from repro.experiments.memo import DiskMemo, MEMO_VERSION, default_cache_dir
 from repro.experiments.runner import active_disk_memo, build_workload, set_disk_memo
 from repro.experiments.schemes import scheme_policy
-from repro.fastsim import fused_native_supported, kernels
+from repro.fastsim import VECTOR, fused_native_supported, kernels
 
 
 @pytest.fixture(autouse=True)
@@ -125,7 +125,9 @@ class TestParallelRunner:
         _points_equal(serial, parallel)
 
     def test_disk_reuse_across_invocations(self, tmp_path):
-        config = ExperimentConfig.smoke()
+        # Pinned to vector: the memo layout below is the fused-multi route's,
+        # which the verify backend never plans.
+        config = ExperimentConfig.smoke().with_overrides(backend=VECTOR)
         cache_dir = tmp_path / "memo"
         compare_policies_parallel(
             self.APPS, self.DATASETS, self.SCHEMES, config=config,
@@ -158,7 +160,10 @@ class TestParallelRunner:
     def test_streaming_matches_serial_streaming(self, tmp_path):
         from repro.experiments import compare_policies_streaming
 
-        config = ExperimentConfig.smoke().with_overrides(chunk_accesses=1 << 12)
+        # Pinned to vector: the memo layout below is the fused-multi route's.
+        config = ExperimentConfig.smoke().with_overrides(
+            chunk_accesses=1 << 12, backend=VECTOR
+        )
         serial = compare_policies_streaming(
             self.APPS, self.DATASETS, self.SCHEMES, config=config
         )
@@ -201,7 +206,7 @@ class TestParallelRunner:
             simulate_scheme,
         )
 
-        config = ExperimentConfig.smoke()
+        config = ExperimentConfig.smoke().with_overrides(backend=VECTOR)
         policy = scheme_policy("GRASP")
         if not fused_native_supported(policy, config.hierarchy):
             pytest.skip("no fused kernel available")

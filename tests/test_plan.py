@@ -10,7 +10,6 @@ dispatch error paths the planner leans on.
 
 import importlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from repro.experiments.schemes import scheme_policy
 from repro.fastsim import kernels
 from repro.fastsim.dispatch import (
     BACKEND_ENV_VAR,
+    VECTOR,
     default_backend,
     resolve_backend,
     set_default_backend,
@@ -72,6 +72,9 @@ def _reset_backend_and_memo():
 def _request(scheme="RRIP", *, native=True, **kwargs):
     policies = (scheme_policy(scheme),) if scheme != "OPT" else ()
     kwargs.setdefault("hierarchy", HIERARCHY)
+    # Pin the vector backend unless a test asks for another: under
+    # REPRO_SIM_BACKEND=verify the process default never plans fused routes.
+    kwargs.setdefault("backend", VECTOR)
     return SimRequest(
         schemes=(scheme,), policies=policies, native_override=native, **kwargs
     )
@@ -231,6 +234,7 @@ class TestCorunRouting:
 
 class TestMultiSchemeRouting:
     def _multi(self, schemes, *, stage=STAGE_ROI, **kwargs):
+        kwargs.setdefault("backend", VECTOR)
         return SimRequest(
             schemes=tuple(schemes),
             policies=tuple(scheme_policy(s) for s in schemes),
@@ -489,7 +493,7 @@ class TestTaskPlanning:
         """Once a sweep persisted its chunk store, the next plan replays it."""
         from repro.experiments.runner import build_workload, simulate_llc_policy_streaming
 
-        config = ExperimentConfig.smoke()
+        config = ExperimentConfig.smoke().with_overrides(backend=VECTOR)
         memo = DiskMemo(tmp_path)
         set_disk_memo(memo)
         # Force the staged path (shared stream) so the chunk store persists.
@@ -574,7 +578,15 @@ class TestPlanExplainCli:
         assert "corun:PR/lj+CC/lj/RRIP" in captured.out
 
 
-def test_native_facade_deprecation():
-    sys.modules.pop("repro.fastsim._native", None)
-    with pytest.warns(DeprecationWarning, match="repro.fastsim._native is deprecated"):
+def test_native_facade_is_gone():
+    # The kernel registry (repro.fastsim.kernels) is the only native API.
+    with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.fastsim._native")
+
+
+def test_kernel_registry_exports_feeds_only():
+    # A one-shot replay is one feed on a fresh stream: no ``*_replay``
+    # wrappers beside the per-family ``*_feed`` ones.
+    assert [name for name in kernels.__all__ if name.endswith("_replay")] == []
+    assert {"lru_feed", "rrip_feed", "pin_feed", "ship_feed", "hawkeye_feed",
+            "leeway_feed", "opt_feed"} <= set(kernels.__all__)

@@ -7,7 +7,8 @@ counts, hit/miss/eviction/bypass statistics and the *final policy state*
 distances).  Covered at three levels:
 
 * engine level: randomized block/hint/PC streams through every ``*Stream``
-  against the one-shot dispatchers, for the compiled kernel and for the
+  against the one-shot dispatchers (one feed on a fresh stream, returning
+  ``(hits, stream)``), for the compiled kernel and for the
   route a compiler-less host streams through (the NumPy LRU/OPT streams,
   the scalar reference for the native-only families), across several chunk
   budgets;
@@ -21,6 +22,8 @@ distances).  Covered at three levels:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.cache.hints import HINT_HIGH
@@ -48,6 +51,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.schemes import scheme_policy
 from repro.fastsim import (
+    DenseIdMap,
     FilterStream,
     HawkeyeStream,
     LeewayStream,
@@ -72,7 +76,6 @@ from repro.fastsim import (
     run_filter,
     ship_replay,
     ship_spec,
-    vector_policy_replay,
 )
 from repro.fastsim.filter import assert_stats_equal
 from repro.trace import Trace, generate_execution_trace, iter_execution_trace
@@ -141,12 +144,12 @@ def off_default(table, default):
 class TestEngineStreams:
     def test_lru(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
-        one = lru_replay(streams["blocks"], num_sets, ways)
+        one_hits, one = lru_replay(streams["blocks"], num_sets, ways)
         stream = LRUStream(num_sets, ways, use_native=use_native)
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.evictions == one.evictions
 
@@ -159,11 +162,11 @@ class TestEngineStreams:
     def test_rrip_family(self, streams, use_native, chunk, policy_factory):
         num_sets, ways = GEOMETRY
         spec = rrip_spec(policy_factory())
-        one = rrip_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
+        one_hits, one = rrip_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
         if not use_native:
             policy = policy_factory()
             hits, misses, _ = scalar_chunks(policy, streams, chunk)
-            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(hits, one_hits)
             np.testing.assert_array_equal(misses, one.misses_per_set)
             assert (policy._psel if spec.dueling else None) == one.psel
             assert getattr(policy, "_insert_count", 0) == one.insert_count
@@ -177,7 +180,7 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.psel == one.psel
         assert stream.insert_count == one.insert_count
@@ -187,11 +190,11 @@ class TestEngineStreams:
     def test_pin(self, streams, use_native, chunk, fraction):
         num_sets, ways = GEOMETRY
         spec = pin_spec(PinningPolicy(reserved_fraction=fraction))
-        one = pin_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
+        one_hits, one = pin_replay(streams["blocks"], streams["hints"], num_sets, ways, spec)
         if not use_native:
             policy = PinningPolicy(reserved_fraction=fraction)
             hits, misses, stats = scalar_chunks(policy, streams, chunk)
-            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(hits, one_hits)
             np.testing.assert_array_equal(misses, one.misses_per_set)
             assert stats.bypasses == one.bypass_count
             assert (policy._psel, policy._insert_count) == (one.psel, one.insert_count)
@@ -206,7 +209,7 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         np.testing.assert_array_equal(stream.bypasses_per_set, one.bypasses_per_set)
         assert stream.psel == one.psel
@@ -217,11 +220,11 @@ class TestEngineStreams:
     def test_ship(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = ship_spec(ShipMemPolicy(region_bytes=256, block_bytes=64))
-        one = ship_replay(streams["blocks"], num_sets, ways, spec)
+        one_hits, one = ship_replay(streams["blocks"], num_sets, ways, spec)
         if not use_native:
             policy = ShipMemPolicy(region_bytes=256, block_bytes=64)
             hits, misses, _ = scalar_chunks(policy, streams, chunk)
-            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(hits, one_hits)
             np.testing.assert_array_equal(misses, one.misses_per_set)
             assert off_default(policy._shct, 1) == off_default(one.shct, 1)
             return
@@ -229,7 +232,7 @@ class TestEngineStreams:
         hits = np.concatenate(
             [stream.feed(part) for part in chunked(streams["blocks"], chunk)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.shct == one.shct
 
@@ -237,11 +240,11 @@ class TestEngineStreams:
     def test_hawkeye(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = hawkeye_spec(HawkeyePolicy())
-        one = hawkeye_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
+        one_hits, one = hawkeye_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
         if not use_native:
             policy = HawkeyePolicy()
             hits, misses, _ = scalar_chunks(policy, streams, chunk)
-            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(hits, one_hits)
             np.testing.assert_array_equal(misses, one.misses_per_set)
             assert off_default(policy._predictor, spec.midpoint) == one.predictor
             return
@@ -254,7 +257,7 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predictor == one.predictor
 
@@ -262,11 +265,11 @@ class TestEngineStreams:
     def test_leeway(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
         spec = leeway_spec(LeewayPolicy())
-        one = leeway_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
+        one_hits, one = leeway_replay(streams["blocks"], streams["pcs"], num_sets, ways, spec)
         if not use_native:
             policy = LeewayPolicy()
             hits, misses, _ = scalar_chunks(policy, streams, chunk)
-            np.testing.assert_array_equal(hits, one.hits)
+            np.testing.assert_array_equal(hits, one_hits)
             np.testing.assert_array_equal(misses, one.misses_per_set)
             assert off_default(policy._predicted_ld, 0) == one.predicted_live_distances
             return
@@ -279,13 +282,13 @@ class TestEngineStreams:
                 )
             ]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
         assert stream.predicted_live_distances == one.predicted_live_distances
 
     def test_opt_two_pass(self, streams, use_native, chunk):
         num_sets, ways = GEOMETRY
-        one = opt_replay(streams["blocks"], num_sets, ways)
+        one_hits, one = opt_replay(streams["blocks"], num_sets, ways)
         parts = chunked(streams["blocks"], chunk)
         starts = list(range(0, len(streams["blocks"]), chunk))
         next_seen = {}
@@ -298,8 +301,65 @@ class TestEngineStreams:
         hits = np.concatenate(
             [stream.feed(blocks, nxt) for blocks, nxt in zip(parts, next_uses)]
         )
-        np.testing.assert_array_equal(hits, one.hits)
+        np.testing.assert_array_equal(hits, one_hits)
         np.testing.assert_array_equal(stream.misses_per_set, one.misses_per_set)
+
+
+def _reference_ids(chunks):
+    """Pure-Python id model: each chunk's unseen keys take the next ids in
+    sorted key order.  Returns per-chunk ids and the keys in id order."""
+    ids = {}
+    out = []
+    for chunk in chunks:
+        for key in sorted(set(chunk.tolist()) - ids.keys()):
+            ids[key] = len(ids)
+        out.append(np.array([ids[key] for key in chunk.tolist()], dtype=np.int64))
+    return out, list(ids)
+
+
+class TestDenseIdMap:
+    """The grow-only id map behind every stream's key densification."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 5000), max_size=300),
+        cuts=st.lists(st.integers(0, 300), max_size=8),
+        spread=st.sampled_from([1, DenseIdMap.DIRECT_LIMIT // 1000]),
+    )
+    def test_chunked_ids_match_reference(self, keys, cuts, spread):
+        # ``spread`` > 1 pushes later keys past DIRECT_LIMIT, so streams mix
+        # direct-path chunks with the dict fallback.
+        values = np.array(keys, dtype=np.int64) * spread
+        chunks = np.split(values, sorted({min(cut, len(values)) for cut in cuts}))
+        expected, order = _reference_ids(chunks)
+        direct = DenseIdMap()
+        dict_only = DenseIdMap()
+        dict_only.DIRECT_LIMIT = 0  # every chunk takes the dict path
+        for chunk, want in zip(chunks, expected):
+            np.testing.assert_array_equal(direct.map(chunk), want)
+            np.testing.assert_array_equal(dict_only.map(chunk), want)
+        assert direct.keys_in_id_order() == dict_only.keys_in_id_order() == order
+        assert len(direct) == len(order)
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=st.lists(st.integers(-50, 5000), max_size=300))
+    def test_one_chunk_matches_unique(self, keys):
+        values = np.array(keys, dtype=np.int64)
+        unique, inverse = np.unique(values, return_inverse=True)
+        ids = DenseIdMap()
+        np.testing.assert_array_equal(ids.map(values), inverse)
+        assert ids.keys_in_id_order() == unique.tolist()
+
+    def test_fallback_keeps_direct_ids(self):
+        ids = DenseIdMap()
+        np.testing.assert_array_equal(ids.map(np.array([7, 3, 7, 11])), [1, 0, 1, 2])
+        beyond = DenseIdMap.DIRECT_LIMIT + 5
+        np.testing.assert_array_equal(
+            ids.map(np.array([beyond, 3, -4, 11])), [4, 0, 3, 2]
+        )
+        np.testing.assert_array_equal(ids.map(np.array([7, beyond, 2])), [1, 4, 5])
+        assert ids.keys_in_id_order() == [3, 7, 11, -4, beyond, 2]
+        assert len(ids) == 6
 
 
 class TestPolicyReplayStream:
@@ -317,10 +377,10 @@ class TestPolicyReplayStream:
             HawkeyePolicy,
             LeewayPolicy,
         ):
-            one = vector_policy_replay(
-                factory(),
+            # The one-shot replay: one feed on a fresh stream.
+            one = PolicyReplayStream(factory(), llc)
+            one.feed(
                 streams["blocks"],
-                llc,
                 hints=streams["hints"],
                 regions=regions,
                 pcs=streams["pcs"],
@@ -334,7 +394,7 @@ class TestPolicyReplayStream:
                     regions=regions[lo:hi],
                     pcs=streams["pcs"][lo:hi],
                 )
-            assert_stats_equal(one, stream.stats(), "PolicyReplayStream")
+            assert_stats_equal(one.stats(), stream.stats(), "PolicyReplayStream")
 
     def test_opt_policy_rejected(self):
         from repro.cache.config import CacheConfig
