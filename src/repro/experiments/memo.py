@@ -110,9 +110,12 @@ class DiskMemo:
     def contains(self, kind: str, key: Any) -> bool:
         """Whether a *readable* entry exists (corrupt entries count as absent).
 
-        This deliberately loads the pickle rather than testing the path: a
-        truncated or bit-flipped file must look like a miss to schedulers and
-        resume logic exactly as it does to :meth:`get`.
+        This is the completion probe, and it loads: it unpickles the whole
+        entry rather than testing the path, because a truncated or
+        bit-flipped file must look like a miss to schedulers and resume
+        logic exactly as it does to :meth:`get`.  Probes that only steer a
+        route (and whose wrong answer costs time, not results) stat
+        :meth:`path_for` instead of paying for the load.
         """
         return self.get(kind, key) is not None
 

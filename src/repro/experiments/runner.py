@@ -215,18 +215,29 @@ def active_disk_memo() -> Optional[DiskMemo]:
     return _DISK_MEMO
 
 
+def _probe_memo(table: Dict[tuple, object], kind: str, key: tuple) -> bool:
+    """Whether ``key`` is memoised in memory or (loadably) on disk.
+
+    A disk hit is kept in ``table``, so the :func:`_memoised` lookup that
+    follows the probe does not unpickle the same entry a second time.
+    """
+    if key in table:
+        return True
+    memo = active_disk_memo()
+    value = memo.get(kind, key) if memo is not None else None
+    if value is None:
+        return False
+    table[key] = value
+    return True
+
+
 def _memoised(table: Dict[tuple, object], kind: str, key: tuple, compute):
     """Look ``key`` up in memory, then on disk, computing (and storing) last."""
-    if key in table:
+    if _probe_memo(table, kind, key):
         return table[key]
-    memo = active_disk_memo()
-    if memo is not None:
-        value = memo.get(kind, key)
-        if value is not None:
-            table[key] = value
-            return value
     value = compute()
     table[key] = value
+    memo = active_disk_memo()
     if memo is not None:
         memo.put(kind, key, value)
     return value
@@ -526,16 +537,36 @@ def _classify_hints(
 
 
 def llc_trace_for(workload: Workload, config: ExperimentConfig) -> LLCTrace:
-    """Memoised L1/L2-filtered LLC trace for a workload."""
+    """Memoised L1/L2-filtered LLC trace for a workload.
+
+    Computing the trace also leaves its upstream counters behind as the
+    ``roisummary`` entry, so :func:`workload_cycles` never has to unpickle
+    the trace just to read three numbers.
+    """
     key = llctrace_memo_key(*workload.key, config, workload.layout.profile.merged)
-    return _memoised(
-        _LLC_TRACES,
-        "llctrace",
-        key,
-        lambda: filter_trace(
+
+    def compute() -> LLCTrace:
+        llc_trace = filter_trace(
             roi_trace(workload), config.hierarchy, workload.layout, backend=config.backend
-        ),
-    )
+        )
+        _store_roi_summary(workload, config, _trace_roi_summary(llc_trace))
+        return llc_trace
+
+    return _memoised(_LLC_TRACES, "llctrace", key, compute)
+
+
+def _have_trace_cache(trace_key: tuple) -> bool:
+    """Routing hint: is the filtered ROI trace already materialized?
+
+    A stat of the store, never a load: the hint only picks the staged route
+    over the fused one, and a corrupt entry behind it is a miss that the
+    staged route's :func:`llc_trace_for` recomputes and repairs.  Both
+    routes give bit-identical stats, so a wrong hint costs time, not results.
+    """
+    if trace_key in _LLC_TRACES:
+        return True
+    memo = active_disk_memo()
+    return memo is not None and memo.path_for("llctrace", trace_key).is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -1098,9 +1129,7 @@ def _maybe_fused_multi_streaming(
 
     def cached(scheme: str) -> bool:
         key = policystream_memo_key(*workload.key, scheme, config, merged)
-        return key in _POLICY_STREAM_RUNS or (
-            memo is not None and memo.contains("policystream", key)
-        )
+        return _probe_memo(_POLICY_STREAM_RUNS, "policystream", key)
 
     targets, policies = _fused_multi_targets(schemes, cached)
     if len(targets) < 2:
@@ -1433,6 +1462,15 @@ def _roi_summary_key(workload: Workload, config: ExperimentConfig) -> tuple:
     return llctrace_memo_key(*workload.key, config, workload.layout.profile.merged)
 
 
+def _trace_roi_summary(llc_trace: LLCTrace) -> dict:
+    """The ``roisummary`` counters carried by a filtered ROI trace."""
+    return {
+        "l1_hits": int(llc_trace.upstream_l1_hits),
+        "l2_hits": int(llc_trace.upstream_l2_hits),
+        "total_references": int(llc_trace.total_references),
+    }
+
+
 def _store_roi_summary(workload: Workload, config: ExperimentConfig, summary: dict) -> None:
     key = _roi_summary_key(workload, config)
     _ROI_SUMMARIES.setdefault(key, summary)
@@ -1445,10 +1483,11 @@ def roi_stream_summary(workload: Workload, config: ExperimentConfig) -> dict:
     """Aggregate L1/L2 filter counters of the workload's ROI stream.
 
     Resolution order: the in-memory/on-disk ``roisummary`` entries (written
-    by the fused ROI path), then a cached ``llctrace`` (whose upstream
-    counters carry the same numbers), then filtering the ROI trace — so
-    timing never forces the materialized LLC trace back into existence when
-    a fused run already produced the counters.
+    by the fused ROI routes and by :func:`llc_trace_for`'s filter step),
+    then a cached ``llctrace`` (whose upstream counters carry the same
+    numbers; stores filled before the filter step wrote its counters), then
+    filtering the ROI trace — so timing never unpickles or rebuilds the
+    materialized LLC trace when a run already produced the counters.
     """
     key = _roi_summary_key(workload, config)
     summary = _ROI_SUMMARIES.get(key)
@@ -1465,11 +1504,7 @@ def roi_stream_summary(workload: Workload, config: ExperimentConfig) -> dict:
         llc_trace = memo.get("llctrace", key)
     if llc_trace is None:
         llc_trace = llc_trace_for(workload, config)
-    summary = {
-        "l1_hits": int(llc_trace.upstream_l1_hits),
-        "l2_hits": int(llc_trace.upstream_l2_hits),
-        "total_references": int(llc_trace.total_references),
-    }
+    summary = _trace_roi_summary(llc_trace)
     _store_roi_summary(workload, config, summary)
     return summary
 
@@ -1534,8 +1569,7 @@ def simulate_scheme(
                 hierarchy=config.hierarchy,
                 consumers=2 if shared_trace else 1,
                 have_memo=memo is not None,
-                have_trace_cache=trace_key in _LLC_TRACES
-                or (memo is not None and memo.contains("llctrace", trace_key)),
+                have_trace_cache=_have_trace_cache(trace_key),
             )
         )
         if plan.route == ROUTE_FUSED:
@@ -1585,9 +1619,7 @@ def _maybe_fused_multi_roi(
 
     def cached(scheme: str) -> bool:
         key = policy_memo_key(*workload.key, scheme, config, merged)
-        return key in _POLICY_RUNS or (
-            memo is not None and memo.contains("policy", key)
-        )
+        return _probe_memo(_POLICY_RUNS, "policy", key)
 
     targets, policies = _fused_multi_targets(schemes, cached)
     if len(targets) < 2:
@@ -1601,8 +1633,7 @@ def _maybe_fused_multi_roi(
             stage=STAGE_ROI,
             hierarchy=config.hierarchy,
             have_memo=memo is not None,
-            have_trace_cache=trace_key in _LLC_TRACES
-            or (memo is not None and memo.contains("llctrace", trace_key)),
+            have_trace_cache=_have_trace_cache(trace_key),
         )
     )
     if plan.route != ROUTE_FUSED_MULTI:
@@ -1700,9 +1731,11 @@ def plan_scheme_task(
     memo-environment flags (cached ROI trace, persisted chunk store) are
     probed directly from the on-disk store — the sweep service embeds
     these plans in run manifests and ``repro plan explain`` answers before
-    any simulation runs.  The returned plan is exactly the one the
-    corresponding :func:`simulate_scheme` / :func:`simulate_scheme_streaming`
-    call would execute under the same memo state.
+    any simulation runs.  The cached-trace hint is a stat of the entry
+    file (:func:`_have_trace_cache`), never an unpickle of the trace.  The
+    returned plan is exactly the one the corresponding
+    :func:`simulate_scheme` / :func:`simulate_scheme_streaming` call would
+    execute under the same memo state.
     """
     policies = (scheme_policy(scheme),) if scheme != "OPT" else ()
     memo = active_disk_memo()
@@ -1716,9 +1749,8 @@ def plan_scheme_task(
         have_trace_cache = False
         stage = STAGE_STREAMING
     else:
-        trace_key = llctrace_memo_key(app_name, dataset_name, reorder, config, merged)
-        have_trace_cache = trace_key in _LLC_TRACES or (
-            memo is not None and memo.contains("llctrace", trace_key)
+        have_trace_cache = _have_trace_cache(
+            llctrace_memo_key(app_name, dataset_name, reorder, config, merged)
         )
         have_chunk_store = False
         stage = STAGE_ROI

@@ -280,8 +280,10 @@ class MemoTaskStore:
 
     A task is done iff its memo entry exists *and loads* — corrupt or
     truncated entries look incomplete, so schedulers recompute them just as
-    the memoised serial runner would.  ``note_done`` is a no-op: the worker
-    that executed the task already persisted the entry.
+    the memoised serial runner would.  :meth:`is_done` is therefore
+    :meth:`DiskMemo.contains`, the completion probe, which unpickles the
+    entry (a stat would call a corrupt entry done).  ``note_done`` is a
+    no-op: the worker that executed the task already persisted the entry.
     """
 
     def __init__(self, memo: DiskMemo) -> None:

@@ -17,12 +17,16 @@ from conftest import assert_points_equal
 from repro.experiments import (
     DiskMemo,
     ExperimentConfig,
+    build_workload,
     clear_caches,
     compare_policies,
     set_disk_memo,
+    simulate_scheme,
 )
 from repro.experiments.queue import InlineBackend
+from repro.experiments.runner import llc_trace_for, llctrace_memo_key, plan_scheme_task
 from repro.experiments.service import SweepSpec, run_sweep, sweep_tasks
+from repro.fastsim.plan import assert_stats_equal
 
 pytestmark = pytest.mark.usefixtures("memo_isolation")
 
@@ -102,6 +106,37 @@ class TestCorruptEntriesAreMisses:
         memo.path_for("unit", ("k",)).write_bytes(b"\x80\x04garbage")
         assert not memo.contains("unit", ("k",))
         assert memo.get("unit", ("k",)) is None
+
+
+class TestCorruptTraceBehindRoutingHint:
+    """The cached-trace routing hint stats the store instead of loading it.
+
+    A corrupt ``llctrace`` entry therefore still reads as "trace cached":
+    the plan must not change, and the staged route it picks must recompute
+    the trace, return the serial stats and repair the entry.
+    """
+
+    def test_corrupt_trace_plans_like_intact_and_is_repaired(self, tmp_path):
+        config = ExperimentConfig.smoke()
+        app, dataset, scheme = "PR", "lj", "GRASP"
+        serial = simulate_scheme(build_workload(app, dataset, config=config), scheme, config)
+        clear_caches()
+
+        memo = DiskMemo(tmp_path)
+        set_disk_memo(memo)
+        llc_trace_for(build_workload(app, dataset, config=config), config)
+        clear_caches()
+        intact = plan_scheme_task(app, dataset, config.reorder, scheme, config).to_json()
+
+        key = llctrace_memo_key(app, dataset, config.reorder, config)
+        memo.path_for("llctrace", key).write_bytes(b"not a pickle at all")
+        assert memo.get("llctrace", key) is None
+        corrupt = plan_scheme_task(app, dataset, config.reorder, scheme, config).to_json()
+        assert corrupt == intact
+
+        stats = simulate_scheme(build_workload(app, dataset, config=config), scheme, config)
+        assert_stats_equal(serial, stats, f"{scheme} {app}/{dataset} behind a corrupt trace")
+        assert memo.get("llctrace", key) is not None
 
 
 def _hammer_put(root: str, worker_id: int, rounds: int) -> None:
